@@ -23,15 +23,13 @@ from .curves import (
     SmoothingConfig,
     capacity_at_rate_check,
     differentiate,
-    interpolate_potential,
-    potential_slope,
     resample,
     smooth,
 )
 from .errors import ConfigError, DvafitError, InputDataError, NonConvergenceError
 from .features import CorrectionInputs, correct_to_true, derive_features
 from .fitting import fit
-from .model import ElectrodeParams, stoich_profiles
+from .model import ElectrodeParams, cell_voltage, clipped_profiles, electrode_dvdq, param_vector
 from .synth import (
     DegradationSpec,
     SynthSpec,
@@ -352,13 +350,10 @@ def _cmd_smooth(args) -> int:
         cfg_toolkit = dataio.load_config(args.config)
         u_pos = dataio.parse_reference_curve(cfg_toolkit.u_pos_path)
         u_neg = dataio.parse_reference_curve(cfg_toolkit.u_neg_path)
-        theta = dataio.read_report(args.report).theta
-        x, y = stoich_profiles(theta, series.q)
-        dvdq_pos = -potential_slope(u_pos, np.clip(y, 0, 1)) / theta.qp_tilde
-        dvdq_neg = -potential_slope(u_neg, np.clip(x, 0, 1)) / theta.qn_tilde
-        v_model = interpolate_potential(u_pos, np.clip(y, 0, 1)) - interpolate_potential(
-            u_neg, np.clip(x, 0, 1)
-        )
+        vec = param_vector(dataio.read_report(args.report).theta)
+        x, y, _ = clipped_profiles(vec, series.q)
+        dvdq_pos, dvdq_neg = electrode_dvdq(vec, x, y, u_pos, u_neg)
+        v_model = cell_voltage(x, y, u_pos, u_neg)
         header += ",voltage_model_v,dvdq_model_v_per_ah,dvdq_pos_v_per_ah,dvdq_neg_v_per_ah"
         columns += [v_model, dvdq_pos + dvdq_neg, dvdq_pos, dvdq_neg]
     elif args.report or args.config:

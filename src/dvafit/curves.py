@@ -168,19 +168,6 @@ class CapacityVoltageSeries:
         """Measured full capacity: the last (largest) capacity sample."""
         return float(self.q[-1])
 
-    @cached_property
-    def _interpolator(self) -> PchipInterpolator:
-        return PchipInterpolator(self.q, self.v, extrapolate=False)
-
-    def voltage_at(self, q) -> np.ndarray:
-        """Monotone-cubic interpolated voltage at capacity ``q``."""
-        q = np.asarray(q, dtype=float)
-        if np.any(q < self.q[0]) or np.any(q > self.q[-1]):
-            raise InputDataError(
-                f"capacity query outside measured range [{self.q[0]:.6g}, {self.q[-1]:.6g}]"
-            )
-        return self._interpolator(q)
-
 
 def validate_full_cell(series: CapacityVoltageSeries) -> CapacityVoltageSeries:
     """Enforce the full-cell ingestion invariants needed before fitting."""
@@ -259,36 +246,30 @@ def build_reference_curve(
     )
 
 
+def _lookup_in_window(curve: ReferencePotentialCurve, interpolant, s):
+    s_arr = np.asarray(s, dtype=float)
+    bad = (s_arr < 0.0) | (s_arr > 1.0)
+    if np.any(bad):
+        offender = float(np.atleast_1d(s_arr)[np.atleast_1d(bad)][0])
+        raise InfeasibilityError(
+            f"stoichiometry {offender:.6g} outside [0, 1] for {curve.electrode_role} curve",
+            offending_s=offender,
+        )
+    out = interpolant(s_arr)
+    return float(out) if np.isscalar(s) or s_arr.ndim == 0 else out
+
+
 def interpolate_potential(curve: ReferencePotentialCurve, s) -> np.ndarray | float:
     """Potential (V vs Li/Li+) at stoichiometry ``s``; exact at nodes.
 
-    ``s`` outside [0, 1] raises: this is how infeasible parameter
-    proposals surface during fitting.
+    ``s`` outside [0, 1] raises InfeasibilityError.
     """
-    s_arr = np.asarray(s, dtype=float)
-    bad = (s_arr < 0.0) | (s_arr > 1.0)
-    if np.any(bad):
-        offender = float(np.atleast_1d(s_arr)[np.atleast_1d(bad)][0])
-        raise InfeasibilityError(
-            f"stoichiometry {offender:.6g} outside [0, 1] for {curve.electrode_role} curve",
-            offending_s=offender,
-        )
-    out = curve._interpolator(s_arr)
-    return float(out) if np.isscalar(s) or s_arr.ndim == 0 else out
+    return _lookup_in_window(curve, curve._interpolator, s)
 
 
 def potential_slope(curve: ReferencePotentialCurve, s) -> np.ndarray | float:
-    """dU/ds of the monotone interpolant at stoichiometry ``s``."""
-    s_arr = np.asarray(s, dtype=float)
-    bad = (s_arr < 0.0) | (s_arr > 1.0)
-    if np.any(bad):
-        offender = float(np.atleast_1d(s_arr)[np.atleast_1d(bad)][0])
-        raise InfeasibilityError(
-            f"stoichiometry {offender:.6g} outside [0, 1] for {curve.electrode_role} curve",
-            offending_s=offender,
-        )
-    out = curve._slope(s_arr)
-    return float(out) if np.isscalar(s) or s_arr.ndim == 0 else out
+    """dU/ds of the monotone interpolant at stoichiometry ``s``; same range rule."""
+    return _lookup_in_window(curve, curve._slope, s)
 
 
 def _check_spacing(q: np.ndarray):

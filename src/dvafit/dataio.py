@@ -270,6 +270,19 @@ def _design_from(obj: dict, where: str) -> DesignParams:
         raise ConfigError(f"{where}: missing design key {exc}") from None
 
 
+# Config ``fit`` key -> (FitConfig field, type).  Absent keys are not passed,
+# so the defaults live in FitConfig alone.
+_FIT_KEYS = (
+    ("lambda", "lam", float),
+    ("resample_points", "resample_points", int),
+    ("starts", "starts", int),
+    ("seed", "seed", int),
+    ("max_iterations", "max_iterations", int),
+    ("tol_step", "tol_step", float),
+    ("tol_objective", "tol_objective", float),
+)
+
+
 def _fit_config_from(obj: dict) -> FitConfig:
     smoothing = SmoothingConfig(**obj.get("smoothing", {}))
     bounds = None
@@ -281,17 +294,8 @@ def _fit_config_from(obj: dict) -> FitConfig:
             )
         except KeyError as exc:
             raise ConfigError(f"fit.bounds: missing key {exc}") from None
-    return FitConfig(
-        lam=float(obj.get("lambda", 0.5)),
-        resample_points=int(obj.get("resample_points", 500)),
-        bounds=bounds,
-        starts=int(obj.get("starts", 16)),
-        seed=int(obj.get("seed", 0)),
-        max_iterations=int(obj.get("max_iterations", 500)),
-        tol_step=float(obj.get("tol_step", 1e-10)),
-        tol_objective=float(obj.get("tol_objective", 1e-10)),
-        smoothing=smoothing,
-    )
+    present = {field: cast(obj[key]) for key, field, cast in _FIT_KEYS if key in obj}
+    return FitConfig(bounds=bounds, smoothing=smoothing, **present)
 
 
 def load_config(path) -> ToolkitConfig:

@@ -8,13 +8,13 @@ over (qn, qp, x0, y0), where E is the model-minus-measured voltage error
 on a uniform capacity grid.  Bounded trust-region least squares from
 multiple Latin-hypercube starts; everything is deterministic under the
 configured seed.  Stoichiometry excursions beyond [0, 1] are penalized
-smoothly inside the objective (the model layer itself never clamps), so
-the optimizer can cross infeasible regions without crashing.
+smoothly inside the objective (the model kernel clips and returns the
+excursion), so the optimizer can cross infeasible regions without crashing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -26,13 +26,11 @@ from .curves import (
     ReferencePotentialCurve,
     SmoothingConfig,
     differentiate,
-    interpolate_potential,
-    potential_slope,
     resample,
     validate_full_cell,
 )
 from .errors import ConfigError
-from .model import ElectrodeParams
+from .model import ElectrodeParams, cell_voltage, clipped_profiles, electrode_dvdq, param_vector
 
 # Penalty residual per unit of stoichiometry excursion beyond [0, 1],
 # applied per grid point.  Large against voltage errors (order 0.1 V) so
@@ -137,7 +135,7 @@ class FitResult:
     rmse_dvdq: float
     objective: float
     converged: bool
-    iterations: int  # total residual evaluations across all starts
+    iterations: int  # scipy nfev summed over starts; excludes finite-difference Jacobian calls
     start_records: tuple[StartRecord, ...]
     residual_series: ResidualSeries
 
@@ -154,6 +152,11 @@ class _Problem(NamedTuple):
 
 def _prepare(measured: CapacityVoltageSeries, cfg: FitConfig) -> _Problem:
     validate_full_cell(measured)
+    if measured.v[-1] < measured.v[0]:
+        # Voltage falls across the capacity range: a discharge counted from
+        # the top of charge.  Re-count it from the discharged state so the
+        # model's q = 0 is the low-voltage end, whatever the label says.
+        measured = replace(measured, q=measured.q_full - measured.q[::-1], v=measured.v[::-1])
     # Two extra points so the residual grid is the open interior of
     # [0, q_full]: the model error is defined strictly between the
     # voltage cutoffs.
@@ -170,24 +173,17 @@ def _prepare(measured: CapacityVoltageSeries, cfg: FitConfig) -> _Problem:
 def _channels(vec, prob, u_pos, u_neg):
     """Voltage error, differential error, and feasibility excursion.
 
-    Potentials are looked up at stoichiometries clipped to [0, 1]; the
+    The model is evaluated on stoichiometries clipped to [0, 1]; the
     excursion channel carries what clipping removed, so infeasibility
     shows up as penalty rather than NaN.
     """
-    qn, qp, x0, y0 = vec
-    x = x0 + prob.q_grid / qn
-    y = y0 - prob.q_grid / qp
-    xc = np.clip(x, 0.0, 1.0)
-    yc = np.clip(y, 0.0, 1.0)
-    v_model = interpolate_potential(u_pos, yc) - interpolate_potential(u_neg, xc)
-    dvdq_model = -potential_slope(u_pos, yc) / qp - potential_slope(u_neg, xc) / qn
-    excursion = (
-        np.maximum(x - 1.0, 0.0)
-        + np.maximum(-x, 0.0)
-        + np.maximum(y - 1.0, 0.0)
-        + np.maximum(-y, 0.0)
+    x, y, excursion = clipped_profiles(vec, prob.q_grid)
+    dvdq_pos, dvdq_neg = electrode_dvdq(vec, x, y, u_pos, u_neg)
+    return (
+        cell_voltage(x, y, u_pos, u_neg) - prob.v_meas,
+        dvdq_pos + dvdq_neg - prob.dvdq_meas,
+        excursion,
     )
-    return v_model - prob.v_meas, dvdq_model - prob.dvdq_meas, excursion
 
 
 def _stacked(vec, prob, u_pos, u_neg, lam):
@@ -211,8 +207,7 @@ def residuals(
     feasible ``theta``.
     """
     prob = _prepare(measured, cfg)
-    vec = (theta.qn_tilde, theta.qp_tilde, theta.x0_tilde, theta.y0_tilde)
-    return _stacked(vec, prob, u_pos, u_neg, cfg.lam)
+    return _stacked(param_vector(theta), prob, u_pos, u_neg, cfg.lam)
 
 
 def _theta_from_vec(vec, q_full: float) -> ElectrodeParams:

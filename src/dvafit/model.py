@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import ReferencePotentialCurve, interpolate_potential, potential_slope
+from .curves import ReferencePotentialCurve
 from .errors import InfeasibilityError
 
 
@@ -129,15 +129,53 @@ def stoich_profiles(p: ElectrodeParams, q_grid: np.ndarray) -> tuple[np.ndarray,
     return p.x0_tilde + q / p.qn_tilde, p.y0_tilde - q / p.qp_tilde
 
 
-def _checked_profiles(p, q_grid):
+def param_vector(p: ElectrodeParams) -> tuple[float, float, float, float]:
+    """(qn, qp, x0, y0): the optimizer's parameter layout, which the kernel takes."""
+    return (p.qn_tilde, p.qp_tilde, p.x0_tilde, p.y0_tilde)
+
+
+# The kernel: the one place that maps q onto the two electrodes and
+# evaluates the electrode-balance identity.  It takes the raw vector because
+# optimizer candidates need not be valid ElectrodeParams.
+
+
+def clipped_profiles(vec, q_grid):
+    """(x, y) over ``q_grid`` clipped to [0, 1], and the per-point excursion
+    the clip removed: the fit penalizes it, the predictions raise on it."""
+    qn, qp, x0, y0 = vec
     q = np.asarray(q_grid, dtype=float)
-    x, y = stoich_profiles(p, q)
-    bad = (x < 0.0) | (x > 1.0) | (y < 0.0) | (y > 1.0)
+    x, y = x0 + q / qn, y0 - q / qp
+    excursion = np.maximum(x - 1.0, 0.0) + np.maximum(-x, 0.0)
+    excursion = excursion + np.maximum(y - 1.0, 0.0) + np.maximum(-y, 0.0)
+    return np.clip(x, 0.0, 1.0), np.clip(y, 0.0, 1.0), excursion
+
+
+def cell_voltage(x, y, u_pos: ReferencePotentialCurve, u_neg: ReferencePotentialCurve):
+    """U_pos(y) - U_neg(x); x and y are already in [0, 1], so no range check."""
+    return u_pos._interpolator(y) - u_neg._interpolator(x)
+
+
+def clipped_voltage(vec, q_grid, u_pos: ReferencePotentialCurve, u_neg: ReferencePotentialCurve):
+    """Cell voltage over ``q_grid`` with the stoichiometries clipped to [0, 1]."""
+    x, y, _ = clipped_profiles(vec, q_grid)
+    return cell_voltage(x, y, u_pos, u_neg)
+
+
+def electrode_dvdq(vec, x, y, u_pos: ReferencePotentialCurve, u_neg: ReferencePotentialCurve):
+    """Chain-rule dV/dq terms (-U_pos'(y)/qp, -U_neg'(x)/qn); dV/dq is their sum."""
+    return -u_pos._slope(y) / vec[1], -u_neg._slope(x) / vec[0]
+
+
+def _profiles_in_window(p, q_grid):
+    x, y, excursion = clipped_profiles(param_vector(p), q_grid)
+    bad = excursion > 0.0
     if np.any(bad):
+        q = np.asarray(q_grid, dtype=float).ravel()
         i = int(np.argmax(bad))
+        x_i, y_i = stoich_profiles(p, q[i])
         raise InfeasibilityError(
             f"stoichiometry out of [0, 1] at q={q[i]:.6g} Ah "
-            f"(x={x[i]:.6g}, y={y[i]:.6g})",
+            f"(x={x_i:.6g}, y={y_i:.6g})",
             offending_q=float(q[i]),
         )
     return x, y
@@ -150,8 +188,8 @@ def predict_voltage(
     u_neg: ReferencePotentialCurve,
 ) -> np.ndarray:
     """Predicted full-cell voltage U_pos(y(q)) - U_neg(x(q)) over ``q_grid``."""
-    x, y = _checked_profiles(p, q_grid)
-    return interpolate_potential(u_pos, y) - interpolate_potential(u_neg, x)
+    x, y = _profiles_in_window(p, q_grid)
+    return cell_voltage(x, y, u_pos, u_neg)
 
 
 def predict_dvdq(
@@ -162,13 +200,10 @@ def predict_dvdq(
 ) -> np.ndarray:
     """Analytic dV/dq from the interpolant slopes (chain rule).
 
-    dV/dq = -(1/qp) U_pos'(y(q)) - (1/qn) U_neg'(x(q)).  Computed from the
-    interpolant derivatives rather than by differencing the predicted
-    voltage, so the differential channel of the fit objective carries no
-    grid-resolution noise.
+    Computed from the interpolant derivatives rather than by differencing
+    the predicted voltage, so the differential channel of the fit
+    objective carries no grid-resolution noise.
     """
-    x, y = _checked_profiles(p, q_grid)
-    return (
-        -potential_slope(u_pos, y) / p.qp_tilde
-        - potential_slope(u_neg, x) / p.qn_tilde
-    )
+    x, y = _profiles_in_window(p, q_grid)
+    dvdq_pos, dvdq_neg = electrode_dvdq(param_vector(p), x, y, u_pos, u_neg)
+    return dvdq_pos + dvdq_neg

@@ -23,7 +23,7 @@ from .curves import (
 )
 from .errors import ConfigError, GenerationError, InfeasibilityError
 from .fitting import FitConfig, ParameterBounds, _channels, _prepare
-from .model import ElectrodeParams, predict_voltage
+from .model import ElectrodeParams, clipped_voltage, param_vector, predict_voltage
 
 # Capacity tolerance of the window root solves, Ah.
 Q_SOLVE_TOL_AH = 1e-9
@@ -138,10 +138,7 @@ def implied_v_min(
     u_neg: ReferencePotentialCurve,
 ) -> float:
     """Full-cell voltage in the discharged state (q = 0) for ``theta``."""
-    return float(
-        interpolate_potential(u_pos, theta.y0_tilde)
-        - interpolate_potential(u_neg, theta.x0_tilde)
-    )
+    return float(clipped_voltage(param_vector(theta), 0.0, u_pos, u_neg))
 
 
 def _max_feasible_capacity(theta: ElectrodeParams) -> float:
@@ -160,15 +157,12 @@ def _solve_q_at_voltage(
 ) -> float:
     """Capacity where the (strictly increasing) model voltage hits v_target."""
 
+    vec = param_vector(theta)
+
     def voltage_error(q):
         # q stays in [0, q_hi] by construction; clipping only absorbs the
         # last-bit rounding of the boundary itself.
-        x = min(theta.x0_tilde + q / theta.qn_tilde, 1.0)
-        y = max(theta.y0_tilde - q / theta.qp_tilde, 0.0)
-        return (
-            float(interpolate_potential(u_pos, y) - interpolate_potential(u_neg, x))
-            - v_target
-        )
+        return float(clipped_voltage(vec, q, u_pos, u_neg)) - v_target
 
     q_hi = _max_feasible_capacity(theta)
     if voltage_error(0.0) > 0.0:
@@ -246,13 +240,8 @@ def degrade(
     def anchor_error(x0):
         # Strictly increasing in x0: raising x0 lowers y0, and both
         # potentials move the discharged voltage upward.
-        return (
-            float(
-                interpolate_potential(u_pos, y0_of(x0))
-                - interpolate_potential(u_neg, x0)
-            )
-            - v_min
-        )
+        vec = (qn_aged, qp_aged, x0, y0_of(x0))
+        return float(clipped_voltage(vec, 0.0, u_pos, u_neg)) - v_min
 
     eps = 1e-12
     x_lo = max(0.0, (li_aged - qp_aged) / qn_aged)

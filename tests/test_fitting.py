@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dvafit.curves import CapacityVoltageSeries
+from dvafit.curves import CapacityVoltageSeries, SmoothingConfig, differentiate, resample
 from dvafit.errors import ConfigError
 from dvafit.fitting import (
     BatchItemFailure,
@@ -14,7 +14,7 @@ from dvafit.fitting import (
     fit_batch,
     residuals,
 )
-from dvafit.model import ElectrodeParams, predict_voltage
+from dvafit.model import ElectrodeParams, predict_dvdq, predict_voltage
 from dvafit.synth import SynthSpec, generate, implied_v_min
 
 LINEAR_THETA = ElectrodeParams(1.0, 1.0, 0.0, 1.0, 0.9)
@@ -108,6 +108,24 @@ class TestResiduals:
         expected = lam * sum_v + (1.0 - lam) * sum_d
         assert mixed == pytest.approx(expected, rel=1e-12)
 
+    def test_blocks_equal_public_model_minus_measurement(self, analytic_curves):
+        # The objective and predict_voltage/predict_dvdq share one kernel,
+        # so the channels agree exactly, not just to round-off.
+        u_pos, u_neg = analytic_curves
+        theta = ElectrodeParams(2.95, 2.80, 0.035, 0.94, 1.0)
+        series, theta_true = _synth_series(u_pos, u_neg, theta, noise=1e-3)
+        probe = ElectrodeParams(3.0, 2.9, 0.04, 0.95, theta_true.q_full)
+        n = FitConfig().resample_points
+        uniform = resample(series, n + 2)
+        grid = uniform.q[1:-1]
+        dvdq_meas = differentiate(uniform, SmoothingConfig())[1:-1]
+        r_v = residuals(probe, series, u_pos, u_neg, FitConfig(lam=1.0))
+        r_d = residuals(probe, series, u_pos, u_neg, FitConfig(lam=0.0))
+        expected_v = predict_voltage(probe, grid, u_pos, u_neg) - uniform.v[1:-1]
+        expected_d = predict_dvdq(probe, grid, u_pos, u_neg) - dvdq_meas
+        assert np.array_equal(r_v[:n], expected_v)
+        assert np.array_equal(r_d[n : 2 * n], expected_d)
+
 
 class TestFit:
     def test_noise_free_round_trip(self, analytic_curves):
@@ -122,6 +140,30 @@ class TestFit:
         assert res.theta.y0_tilde == pytest.approx(truth.y0_tilde, abs=2e-3)
         assert res.objective >= 0.0
         assert len(res.residual_series.q) == FitConfig().resample_points
+
+    def test_discharge_counted_from_top_of_charge(self, analytic_curves):
+        # The same curve logged as a discharge: capacity counts from the
+        # charged state and the voltage falls.  The fit must recover the
+        # parameters of the charge fit, not pin the capacities at a bound.
+        u_pos, u_neg = analytic_curves
+        theta = ElectrodeParams(2.95, 2.80, 0.035, 0.94, 1.0)
+        charge, truth = _synth_series(u_pos, u_neg, theta)
+        discharge = CapacityVoltageSeries(
+            q=charge.q_full - charge.q[::-1],
+            v=charge.v[::-1],
+            direction="discharge",
+            c_rate=charge.c_rate,
+        )
+        cfg = FitConfig(seed=1, starts=4)
+        ref = fit(charge, u_pos, u_neg, cfg)
+        res = fit(discharge, u_pos, u_neg, cfg)
+        assert res.converged
+        assert res.rmse_voltage <= 1e-4
+        for name in ("qn_tilde", "qp_tilde", "x0_tilde", "y0_tilde"):
+            assert getattr(res.theta, name) == pytest.approx(
+                getattr(ref.theta, name), rel=1e-6
+            ), name
+        assert res.theta.qn_tilde == pytest.approx(truth.qn_tilde, rel=2e-3)
 
     def test_objective_not_above_any_start(self, analytic_curves):
         u_pos, u_neg = analytic_curves

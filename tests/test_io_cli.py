@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from dvafit.cli import main
 from dvafit.curves import CapacityVoltageSeries
 from dvafit.errors import ConfigError, InputDataError
 from dvafit.features import derive_features
-from dvafit.fitting import StartRecord
+from dvafit.fitting import FitConfig, StartRecord
 from dvafit.model import ElectrodeParams
 
 from conftest import DATA_DIR
@@ -287,6 +288,7 @@ class TestLoadConfig:
         cfg = dataio.load_config(path)
         assert cfg.fit.lam == 0.3
         assert cfg.fit.starts == 4
+        assert cfg.fit == replace(FitConfig(), lam=0.3, starts=4)
 
     def test_bounds_and_design_blocks(self, tmp_path):
         cfg_obj = {
