@@ -176,9 +176,11 @@ def correlate(records, metrics) -> CorrelationResult:
     if len(metrics) < 1:
         raise ConfigError("correlate needs at least one metric")
     cols = np.column_stack([_values(records, m) for m in metrics])
+    # Decided on the raw values: centring a constant column can leave
+    # rounding noise (0.1 - mean(0.1, 0.1, 0.1) is not always 0).
+    degenerate = np.ptp(cols, axis=0) == 0.0
     centered = cols - cols.mean(axis=0)
     norms = np.sqrt(np.sum(centered**2, axis=0))
-    degenerate = norms == 0.0
     safe = np.where(degenerate, 1.0, norms)
     unit = centered / safe
     matrix = unit.T @ unit

@@ -130,6 +130,11 @@ class ReferencePotentialCurve:
     def _slope(self) -> PchipInterpolator:
         return self._interpolator.derivative()
 
+    @cached_property
+    def _curvature(self) -> PchipInterpolator:
+        # Built on first use (the fit's Jacobian), not at construction.
+        return self._interpolator.derivative(2)
+
 
 @dataclass(frozen=True)
 class CapacityVoltageSeries:

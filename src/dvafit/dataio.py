@@ -462,66 +462,98 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise InputDataError(f"report {where}: expected an object, got {value!r}")
+    return value
+
+
+def _list(obj: dict, key: str, where: str) -> list:
+    value = obj.get(key, [])
+    if not isinstance(value, list):
+        raise InputDataError(f"report {where}: {key!r} must be a list, got {value!r}")
+    return value
+
+
+def _field(obj: dict, key: str, where: str, kind=float):
+    """``kind(obj[key])``, with a missing key or a value ``kind`` rejects as InputDataError."""
+    value = _require(obj, key, where)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise InputDataError(f"report {where}: bad value for {key!r}: {value!r}") from None
+
+
+def _floats(values) -> tuple:
+    return tuple(float(v) for v in values)
+
+
 def parse_report(text: str) -> Report:
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputDataError(f"report is not valid JSON: {exc}") from None
+    obj = _object(obj, "top level")
     version = _require(obj, "schema_version", "top level")
     if version != REPORT_SCHEMA_VERSION:
         raise InputDataError(f"unsupported report schema_version {version}")
-    t = _require(obj, "theta", "top level")
+    t = _object(_require(obj, "theta", "top level"), "theta")
     theta = ElectrodeParams(
-        qn_tilde=float(t["qn_tilde"]),
-        qp_tilde=float(t["qp_tilde"]),
-        x0_tilde=float(t["x0_tilde"]),
-        y0_tilde=float(t["y0_tilde"]),
-        q_full=float(t["q_full"]),
+        qn_tilde=_field(t, "qn_tilde", "theta"),
+        qp_tilde=_field(t, "qp_tilde", "theta"),
+        x0_tilde=_field(t, "x0_tilde", "theta"),
+        y0_tilde=_field(t, "y0_tilde", "theta"),
+        q_full=_field(t, "q_full", "theta"),
     )
-    f = _require(obj, "features", "top level")
+    f = _object(_require(obj, "features", "top level"), "features")
     areal = None
     if f.get("areal") is not None:
-        a = f["areal"]
+        a = _object(f["areal"], "features.areal")
         areal = ArealFeatures(
-            q_full=float(a["q_full"]),
-            qp_tilde=float(a["qp_tilde"]),
-            qn_tilde=float(a["qn_tilde"]),
-            q_sei=float(a["q_sei"]),
-            q_li=float(a["q_li"]),
-            qn_excess=float(a["qn_excess"]),
+            q_full=_field(a, "q_full", "features.areal"),
+            qp_tilde=_field(a, "qp_tilde", "features.areal"),
+            qn_tilde=_field(a, "qn_tilde", "features.areal"),
+            q_sei=_field(a, "q_sei", "features.areal"),
+            q_li=_field(a, "q_li", "features.areal"),
+            qn_excess=_field(a, "qn_excess", "features.areal"),
         )
     features = FeatureSet(
-        q_sei=float(f["q_sei"]),
-        q_li=float(f["q_li"]),
-        qn_excess=float(f["qn_excess"]),
-        npr_practical=float(f["npr_practical"]),
-        npr_conventional=float(f["npr_conventional"]),
-        x100_tilde=float(f["x100_tilde"]),
-        y100_tilde=float(f["y100_tilde"]),
-        q_full=float(f["q_full"]),
-        anomalies=tuple(f.get("anomalies", ())),
+        q_sei=_field(f, "q_sei", "features"),
+        q_li=_field(f, "q_li", "features"),
+        qn_excess=_field(f, "qn_excess", "features"),
+        npr_practical=_field(f, "npr_practical", "features"),
+        npr_conventional=_field(f, "npr_conventional", "features"),
+        x100_tilde=_field(f, "x100_tilde", "features"),
+        y100_tilde=_field(f, "y100_tilde", "features"),
+        q_full=_field(f, "q_full", "features"),
+        anomalies=tuple(_list(f, "anomalies", "features")),
         areal=areal,
     )
-    d = _require(obj, "fit", "top level")
+    d = _object(_require(obj, "fit", "top level"), "fit")
+    records = [_object(r, "fit.start_records") for r in _list(d, "start_records", "fit")]
     diagnostics = FitDiagnostics(
-        objective=float(d["objective"]),
-        rmse_voltage=float(d["rmse_voltage"]),
-        rmse_dvdq=float(d["rmse_dvdq"]),
-        converged=bool(d["converged"]),
-        iterations=int(d["iterations"]),
-        lam=float(d["lambda"]),
+        objective=_field(d, "objective", "fit"),
+        rmse_voltage=_field(d, "rmse_voltage", "fit"),
+        rmse_dvdq=_field(d, "rmse_dvdq", "fit"),
+        converged=bool(_require(d, "converged", "fit")),
+        iterations=_field(d, "iterations", "fit", kind=int),
+        lam=_field(d, "lambda", "fit"),
         start_records=tuple(
-            StartRecord(theta0=tuple(rec["theta0"]), objective=rec["objective"])
-            for rec in d.get("start_records", [])
+            StartRecord(
+                theta0=_field(rec, "theta0", "fit.start_records", kind=_floats),
+                objective=_field(rec, "objective", "fit.start_records"),
+            )
+            for rec in records
         ),
     )
+    entries = [_object(i, "inputs") for i in _list(obj, "inputs", "top level")]
     inputs = tuple(
-        InputFile(name=i["name"], path=i["path"], sha256=i["sha256"])
-        for i in obj.get("inputs", [])
+        InputFile(*(_require(e, k, "inputs") for k in ("name", "path", "sha256")))
+        for e in entries
     )
     return Report(
         cell_id=str(_require(obj, "cell_id", "top level")),
-        seed=int(_require(obj, "seed", "top level")),
+        seed=_field(obj, "seed", "top level", kind=int),
         theta=theta,
         features=features,
         diagnostics=diagnostics,

@@ -139,12 +139,16 @@ def param_vector(p: ElectrodeParams) -> tuple[float, float, float, float]:
 # optimizer candidates need not be valid ElectrodeParams.
 
 
+def _unclipped_profiles(vec, q_grid):
+    qn, qp, x0, y0 = vec
+    q = np.asarray(q_grid, dtype=float)
+    return q, x0 + q / qn, y0 - q / qp
+
+
 def clipped_profiles(vec, q_grid):
     """(x, y) over ``q_grid`` clipped to [0, 1], and the per-point excursion
     the clip removed: the fit penalizes it, the predictions raise on it."""
-    qn, qp, x0, y0 = vec
-    q = np.asarray(q_grid, dtype=float)
-    x, y = x0 + q / qn, y0 - q / qp
+    _, x, y = _unclipped_profiles(vec, q_grid)
     excursion = np.maximum(x - 1.0, 0.0) + np.maximum(-x, 0.0)
     excursion = excursion + np.maximum(y - 1.0, 0.0) + np.maximum(-y, 0.0)
     return np.clip(x, 0.0, 1.0), np.clip(y, 0.0, 1.0), excursion
@@ -164,6 +168,50 @@ def clipped_voltage(vec, q_grid, u_pos: ReferencePotentialCurve, u_neg: Referenc
 def electrode_dvdq(vec, x, y, u_pos: ReferencePotentialCurve, u_neg: ReferencePotentialCurve):
     """Chain-rule dV/dq terms (-U_pos'(y)/qp, -U_neg'(x)/qn); dV/dq is their sum."""
     return -u_pos._slope(y) / vec[1], -u_neg._slope(x) / vec[0]
+
+
+def clipped_jacobian(vec, q_grid, u_pos: ReferencePotentialCurve, u_neg: ReferencePotentialCurve):
+    """Partial derivatives of the clipped kernel with respect to (qn, qp, x0, y0).
+
+    Returns three ``(len(q_grid), 4)`` arrays: d(voltage), d(dV/dq) and
+    d(excursion), the derivatives of ``cell_voltage``, of the sum of the
+    ``electrode_dvdq`` terms and of the excursion of ``clipped_profiles``.
+    With x = x0 + q/qn and y = y0 - q/qp, a clipped stoichiometry does not
+    move with the parameters, so the interpolant terms lose their
+    stoichiometry derivative there while the dV/dq terms keep the
+    derivative of 1/qn and 1/qp; the excursion moves as +x or -x (+y or
+    -y) on the side that was clipped.
+    """
+    qn, qp = vec[0], vec[1]
+    q, x, y = _unclipped_profiles(vec, q_grid)
+    xc, yc = np.clip(x, 0.0, 1.0), np.clip(y, 0.0, 1.0)
+    # dx/dx0 = dy/dy0 = 1; in_x and in_y are 0 where the clip holds.
+    dx_dqn, dy_dqp = -q / qn**2, q / qp**2
+    in_x = (x == xc).astype(float)
+    in_y = (y == yc).astype(float)
+    s_neg, s_pos = u_neg._slope(xc), u_pos._slope(yc)
+    c_neg, c_pos = u_neg._curvature(xc) * in_x, u_pos._curvature(yc) * in_y
+
+    d_v = np.empty((q.size, 4))
+    d_v[:, 2] = -s_neg * in_x
+    d_v[:, 3] = s_pos * in_y
+    d_v[:, 0] = d_v[:, 2] * dx_dqn
+    d_v[:, 1] = d_v[:, 3] * dy_dqp
+
+    d_d = np.empty((q.size, 4))
+    d_d[:, 2] = -c_neg / qn
+    d_d[:, 3] = -c_pos / qp
+    d_d[:, 0] = d_d[:, 2] * dx_dqn + s_neg / qn**2
+    d_d[:, 1] = d_d[:, 3] * dy_dqp + s_pos / qp**2
+
+    # Sign of the excursion's growth: +1 past 1, -1 below 0, 0 inside.
+    sign_x, sign_y = np.sign(x - xc), np.sign(y - yc)
+    d_exc = np.empty((q.size, 4))
+    d_exc[:, 0] = sign_x * dx_dqn
+    d_exc[:, 1] = sign_y * dy_dqp
+    d_exc[:, 2] = sign_x
+    d_exc[:, 3] = sign_y
+    return d_v, d_d, d_exc
 
 
 def _profiles_in_window(p, q_grid):

@@ -206,3 +206,12 @@ class TestCorrelate:
         assert np.isnan(out.matrix[0, 0]) and np.isnan(out.matrix[0, 1])
         assert np.isnan(out.matrix[1, 0])
         assert out.matrix[1, 1] == 1.0
+
+    def test_constant_with_rounding_noise_marked_degenerate(self):
+        # Over three records, 0.1 and 0.7 minus their own mean leave
+        # ~1e-17 and ~1e-16 of variance; they are still constants.
+        records = _records_with([1, 2, 4])
+        out = correlate(records, ("q_sei", lambda r: 0.1, lambda r: 0.7))
+        assert len(out.degenerate) == 2
+        assert out.matrix[0, 0] == 1.0
+        assert np.all(np.isnan(out.matrix[1:, :])) and np.all(np.isnan(out.matrix[:, 1:]))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize._numdiff import approx_derivative
 
 from dvafit.curves import CapacityVoltageSeries, SmoothingConfig, differentiate, resample
 from dvafit.errors import ConfigError
@@ -10,11 +11,20 @@ from dvafit.fitting import (
     FitConfig,
     FitResult,
     ParameterBounds,
+    _prepare,
+    _stacked,
+    _stacked_jacobian,
     fit,
     fit_batch,
     residuals,
 )
-from dvafit.model import ElectrodeParams, predict_dvdq, predict_voltage
+from dvafit.model import (
+    ElectrodeParams,
+    clipped_profiles,
+    param_vector,
+    predict_dvdq,
+    predict_voltage,
+)
 from dvafit.synth import SynthSpec, generate, implied_v_min
 
 LINEAR_THETA = ElectrodeParams(1.0, 1.0, 0.0, 1.0, 0.9)
@@ -125,6 +135,40 @@ class TestResiduals:
         expected_d = predict_dvdq(probe, grid, u_pos, u_neg) - dvdq_meas
         assert np.array_equal(r_v[:n], expected_v)
         assert np.array_equal(r_d[n : 2 * n], expected_d)
+
+
+class TestJacobian:
+    # Every entry within 1e-6 of the largest |J| entry: a 3-point
+    # difference with a 1e-7 relative step is good to about 1e-8 of the
+    # scale here, and a wrong term is off by order one.
+    TOL = 1e-6
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("point", ["truth", "x_side", "y_side"])
+    def test_matches_central_differences(self, analytic_curves, lam, point):
+        u_pos, u_neg = analytic_curves
+        theta = ElectrodeParams(2.95, 2.80, 0.035, 0.94, 1.0)
+        series, theta_true = _synth_series(u_pos, u_neg, theta)
+        qf = theta_true.q_full
+        vec = {
+            "truth": np.array(param_vector(theta_true)),
+            "x_side": np.array([1.2 * qf, 3.0 * qf, 0.25, 0.95]),  # x100 = 1.08
+            "y_side": np.array([2.0 * qf, 1.02 * qf, 0.05, 0.90]),  # y100 = -0.08
+        }[point]
+        cfg = FitConfig(lam=lam)
+        prob = _prepare(series, cfg)
+        args = (prob, u_pos, u_neg, lam)
+
+        # The penalty is active on the intended side only.
+        x, y, exc = clipped_profiles(vec, prob.q_grid)
+        assert np.any(exc > 0.0) == (point != "truth")
+        assert np.all(x < 1.0) == (point != "x_side")
+        assert np.all(y > 0.0) == (point != "y_side")
+
+        jac = _stacked_jacobian(vec, *args)
+        ref = approx_derivative(_stacked, vec, method="3-point", rel_step=1e-7, args=args)
+        assert jac.shape == ref.shape == (3 * cfg.resample_points, 4)
+        assert np.max(np.abs(jac - ref)) <= self.TOL * np.max(np.abs(jac))
 
 
 class TestFit:

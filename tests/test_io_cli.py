@@ -361,6 +361,45 @@ class TestReportIo:
         with pytest.raises(InputDataError, match="not valid JSON"):
             dataio.parse_report("report?")
 
+    @pytest.mark.parametrize(
+        "section, key, value, match",
+        [
+            ("theta", "qn_tilde", None, r"report theta: missing key 'qn_tilde'"),
+            ("features", "q_sei", None, r"report features: missing key 'q_sei'"),
+            ("fit", "objective", None, r"report fit: missing key 'objective'"),
+            ("theta", "x0_tilde", "abc", r"report theta: bad value for 'x0_tilde'"),
+            ("features", "q_li", [1.0], r"report features: bad value for 'q_li'"),
+            ("fit", "iterations", "many", r"report fit: bad value for 'iterations'"),
+            ("fit", "start_records", 3, r"report fit: 'start_records' must be a list"),
+            ("features", "areal", 1.5, r"report features.areal: expected an object"),
+        ],
+    )
+    def test_malformed_section_rejected_naming_key(self, section, key, value, match):
+        obj = json.loads(dataio.serialize_report(_make_report()))
+        if value is None:
+            del obj[section][key]
+        else:
+            obj[section][key] = value
+        with pytest.raises(InputDataError, match=match):
+            dataio.parse_report(json.dumps(obj))
+
+    def test_malformed_start_record_rejected(self):
+        obj = json.loads(dataio.serialize_report(_make_report()))
+        obj["fit"]["start_records"][1]["theta0"] = 2.9
+        with pytest.raises(InputDataError, match=r"fit.start_records: bad value for 'theta0'"):
+            dataio.parse_report(json.dumps(obj))
+        obj["fit"]["start_records"] = [{"theta0": [2.9]}]
+        with pytest.raises(InputDataError, match=r"fit.start_records: missing key 'objective'"):
+            dataio.parse_report(json.dumps(obj))
+
+    def test_section_that_is_not_an_object_rejected(self):
+        obj = json.loads(dataio.serialize_report(_make_report()))
+        obj["theta"] = [2.95, 2.80]
+        with pytest.raises(InputDataError, match="report theta: expected an object"):
+            dataio.parse_report(json.dumps(obj))
+        with pytest.raises(InputDataError, match="top level: expected an object"):
+            dataio.parse_report("[]")
+
 
 @pytest.fixture(scope="module")
 def fit_run(tmp_path_factory):
@@ -516,6 +555,21 @@ class TestCliReports:
         assert len(corr) == 3
         diag = float(corr[1].split(",")[1])
         assert diag == 1.0
+
+    @pytest.mark.parametrize("command", ["features", "batch"])
+    def test_malformed_report_exits_2(self, report_paths, tmp_path, capsys, command):
+        obj = json.loads(dataio.serialize_report(dataio.read_report(report_paths[0])))
+        del obj["features"]["q_sei"]
+        bad = _write(tmp_path / "bad.report.json", json.dumps(obj))
+        argv = {
+            "features": ["features", bad],
+            "batch": ["batch", "--metrics", "q_sei", "--summary-out", str(tmp_path / "s.csv"),
+                      *report_paths, bad],
+        }[command]
+        assert main(argv) == InputDataError.exit_code
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "InputDataError"
+        assert "features: missing key 'q_sei'" in err["message"]
 
     def test_batch_command_empty_metrics_exits_5(self, report_paths, tmp_path, capsys):
         code = main([
