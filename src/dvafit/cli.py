@@ -29,7 +29,7 @@ from .curves import (
 from .errors import ConfigError, DvafitError, InputDataError, NonConvergenceError
 from .features import CorrectionInputs, correct_to_true, derive_features
 from .fitting import fit
-from .model import ElectrodeParams, cell_voltage, clipped_profiles, electrode_dvdq, param_vector
+from .model import ElectrodeParams, evaluate, param_vector
 from .synth import (
     DegradationSpec,
     SynthSpec,
@@ -351,11 +351,14 @@ def _cmd_smooth(args) -> int:
         u_pos = dataio.parse_reference_curve(cfg_toolkit.u_pos_path)
         u_neg = dataio.parse_reference_curve(cfg_toolkit.u_neg_path)
         vec = param_vector(dataio.read_report(args.report).theta)
-        x, y, _ = clipped_profiles(vec, series.q)
-        dvdq_pos, dvdq_neg = electrode_dvdq(vec, x, y, u_pos, u_neg)
-        v_model = cell_voltage(x, y, u_pos, u_neg)
+        model = evaluate(vec, series.q, u_pos, u_neg)
         header += ",voltage_model_v,dvdq_model_v_per_ah,dvdq_pos_v_per_ah,dvdq_neg_v_per_ah"
-        columns += [v_model, dvdq_pos + dvdq_neg, dvdq_pos, dvdq_neg]
+        columns += [
+            model.voltage,
+            model.dvdq_pos + model.dvdq_neg,
+            model.dvdq_pos,
+            model.dvdq_neg,
+        ]
     elif args.report or args.config:
         raise ConfigError("model decomposition needs both --report and --config")
 

@@ -123,17 +123,40 @@ class ReferencePotentialCurve:
             raise InputDataError("capacity_basis_mah must be positive")
 
     @cached_property
-    def _interpolator(self) -> PchipInterpolator:
-        return PchipInterpolator(self.stoich_grid, self.potential, extrapolate=False)
+    def _pieces(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """Interior breakpoints, and per interval the rows U, U' and U''
+        are evaluated from: the left breakpoint, (c3, c2, c1, c0) of the
+        PCHIP cubic c3 + c2 t + c1 t^2 + c0 t^3 in t = s - left, then 2 c1,
+        3 c0 and 6 c0, the coefficients scipy's ``derivative()`` and
+        ``derivative(2)`` build."""
+        pchip = PchipInterpolator(self.stoich_grid, self.potential)
+        c = pchip.c
+        rows = (pchip.x[:-1], c[3], c[2], c[1], c[0], 2.0 * c[1], 3.0 * c[0], 6.0 * c[0])
+        return pchip.x[1:-1].copy(), tuple(np.ascontiguousarray(r) for r in rows)
 
-    @cached_property
-    def _slope(self) -> PchipInterpolator:
-        return self._interpolator.derivative()
+    def _evaluate(self, s, orders: tuple[int, ...]) -> list[np.ndarray]:
+        """U (order 0), U' (1) and U'' (2) at stoichiometry ``s``, in the
+        order ``orders`` lists them.
 
-    @cached_property
-    def _curvature(self) -> PchipInterpolator:
-        # Built on first use (the fit's Jacobian), not at construction.
-        return self._interpolator.derivative(2)
+        One interval search serves every term.  ``s`` must already lie in
+        [0, 1]: there is no range check.  The sums are grouped as scipy's
+        PPoly evaluation groups them, so the values equal the
+        PchipInterpolator's and its derivatives'.
+        """
+        interior, (left, c3, c2, c1, c0, d1, d0, e0) = self._pieces
+        # Interval i holds [x_i, x_i+1); s = 1 falls in the last one.
+        i = np.searchsorted(interior, s, side="right")
+        t = s - left[i]
+        t2 = t * t
+        terms = []
+        for order in orders:
+            if order == 0:
+                terms.append(((c3[i] + c2[i] * t) + c1[i] * t2) + c0[i] * (t2 * t))
+            elif order == 1:
+                terms.append((c2[i] + d1[i] * t) + d0[i] * t2)
+            else:
+                terms.append(d1[i] + e0[i] * t)
+        return terms
 
 
 @dataclass(frozen=True)
@@ -251,7 +274,7 @@ def build_reference_curve(
     )
 
 
-def _lookup_in_window(curve: ReferencePotentialCurve, interpolant, s):
+def _lookup_in_window(curve: ReferencePotentialCurve, order: int, s):
     s_arr = np.asarray(s, dtype=float)
     bad = (s_arr < 0.0) | (s_arr > 1.0)
     if np.any(bad):
@@ -260,7 +283,7 @@ def _lookup_in_window(curve: ReferencePotentialCurve, interpolant, s):
             f"stoichiometry {offender:.6g} outside [0, 1] for {curve.electrode_role} curve",
             offending_s=offender,
         )
-    out = interpolant(s_arr)
+    (out,) = curve._evaluate(s_arr, (order,))
     return float(out) if np.isscalar(s) or s_arr.ndim == 0 else out
 
 
@@ -269,12 +292,12 @@ def interpolate_potential(curve: ReferencePotentialCurve, s) -> np.ndarray | flo
 
     ``s`` outside [0, 1] raises InfeasibilityError.
     """
-    return _lookup_in_window(curve, curve._interpolator, s)
+    return _lookup_in_window(curve, 0, s)
 
 
 def potential_slope(curve: ReferencePotentialCurve, s) -> np.ndarray | float:
     """dU/ds of the monotone interpolant at stoichiometry ``s``; same range rule."""
-    return _lookup_in_window(curve, curve._slope, s)
+    return _lookup_in_window(curve, 1, s)
 
 
 def _check_spacing(q: np.ndarray):

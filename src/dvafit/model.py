@@ -9,6 +9,7 @@ true crystallographic values.  Everything here is pure and reentrant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -136,87 +137,102 @@ def param_vector(p: ElectrodeParams) -> tuple[float, float, float, float]:
 
 # The kernel: the one place that maps q onto the two electrodes and
 # evaluates the electrode-balance identity.  It takes the raw vector because
-# optimizer candidates need not be valid ElectrodeParams.
+# optimizer candidates need not be valid ElectrodeParams: one vector of
+# shape (4,), or a batch of shape (S, 4) whose rows are evaluated at once.
+# The batch-of-one case runs the same code, so its rows match exactly.
 
 
 def _unclipped_profiles(vec, q_grid):
-    qn, qp, x0, y0 = vec
     q = np.asarray(q_grid, dtype=float)
-    return q, x0 + q / qn, y0 - q / qp
+    vec = np.asarray(vec, dtype=float)
+    # Each parameter gets one trailing axis per q axis, so a batch of
+    # vectors broadcasts against the grid to (S,) + q.shape.
+    qn, qp, x0, y0 = np.moveaxis(vec, -1, 0).reshape((4,) + vec.shape[:-1] + (1,) * q.ndim)
+    return q, qn, qp, x0 + q / qn, y0 - q / qp
+
+
+def _clip(x, y):
+    xc = np.minimum(np.maximum(x, 0.0), 1.0)
+    yc = np.minimum(np.maximum(y, 0.0), 1.0)
+    return xc, yc, np.abs(x - xc) + np.abs(y - yc)
 
 
 def clipped_profiles(vec, q_grid):
     """(x, y) over ``q_grid`` clipped to [0, 1], and the per-point excursion
     the clip removed: the fit penalizes it, the predictions raise on it."""
-    _, x, y = _unclipped_profiles(vec, q_grid)
-    excursion = np.maximum(x - 1.0, 0.0) + np.maximum(-x, 0.0)
-    excursion = excursion + np.maximum(y - 1.0, 0.0) + np.maximum(-y, 0.0)
-    return np.clip(x, 0.0, 1.0), np.clip(y, 0.0, 1.0), excursion
+    _, _, _, x, y = _unclipped_profiles(vec, q_grid)
+    return _clip(x, y)
 
 
-def cell_voltage(x, y, u_pos: ReferencePotentialCurve, u_neg: ReferencePotentialCurve):
-    """U_pos(y) - U_neg(x); x and y are already in [0, 1], so no range check."""
-    return u_pos._interpolator(y) - u_neg._interpolator(x)
+class ModelTerms(NamedTuple):
+    """The clipped kernel over a grid; arrays have shape (S,) + q.shape
+    for a batch of S vectors and q.shape for one vector."""
+
+    voltage: np.ndarray  # U_pos(y) - U_neg(x)
+    dvdq_pos: np.ndarray  # -U_pos'(y) / qp; dV/dq is dvdq_pos + dvdq_neg
+    dvdq_neg: np.ndarray  # -U_neg'(x) / qn
+    excursion: np.ndarray  # stoichiometry the clip to [0, 1] removed
 
 
-def clipped_voltage(vec, q_grid, u_pos: ReferencePotentialCurve, u_neg: ReferencePotentialCurve):
-    """Cell voltage over ``q_grid`` with the stoichiometries clipped to [0, 1]."""
-    x, y, _ = clipped_profiles(vec, q_grid)
-    return cell_voltage(x, y, u_pos, u_neg)
+def evaluate(
+    vec, q_grid, u_pos: ReferencePotentialCurve, u_neg: ReferencePotentialCurve
+) -> ModelTerms:
+    """The forward model at stoichiometries clipped to [0, 1]."""
+    _, qn, qp, x, y = _unclipped_profiles(vec, q_grid)
+    xc, yc, excursion = _clip(x, y)
+    u_neg_x, slope_neg = u_neg._evaluate(xc, (0, 1))
+    u_pos_y, slope_pos = u_pos._evaluate(yc, (0, 1))
+    return ModelTerms(u_pos_y - u_neg_x, -slope_pos / qp, -slope_neg / qn, excursion)
 
 
-def electrode_dvdq(vec, x, y, u_pos: ReferencePotentialCurve, u_neg: ReferencePotentialCurve):
-    """Chain-rule dV/dq terms (-U_pos'(y)/qp, -U_neg'(x)/qn); dV/dq is their sum."""
-    return -u_pos._slope(y) / vec[1], -u_neg._slope(x) / vec[0]
+def jacobian(
+    vec, q_grid, u_pos: ReferencePotentialCurve, u_neg: ReferencePotentialCurve
+) -> np.ndarray:
+    """Partial derivatives of :func:`evaluate` with respect to (qn, qp, x0, y0).
 
-
-def clipped_jacobian(vec, q_grid, u_pos: ReferencePotentialCurve, u_neg: ReferencePotentialCurve):
-    """Partial derivatives of the clipped kernel with respect to (qn, qp, x0, y0).
-
-    Returns three ``(len(q_grid), 4)`` arrays: d(voltage), d(dV/dq) and
-    d(excursion), the derivatives of ``cell_voltage``, of the sum of the
-    ``electrode_dvdq`` terms and of the excursion of ``clipped_profiles``.
-    With x = x0 + q/qn and y = y0 - q/qp, a clipped stoichiometry does not
-    move with the parameters, so the interpolant terms lose their
-    stoichiometry derivative there while the dV/dq terms keep the
-    derivative of 1/qn and 1/qp; the excursion moves as +x or -x (+y or
-    -y) on the side that was clipped.
+    Shape (S, 4, 3, N) for a batch of S vectors over N grid points, (4, 3, N)
+    for one vector: per parameter, the derivatives of voltage, of dV/dq
+    (dvdq_pos + dvdq_neg) and of excursion.  With x = x0 + q/qn and
+    y = y0 - q/qp, a clipped stoichiometry does not move with the
+    parameters, so the interpolant terms lose their stoichiometry
+    derivative there while the dV/dq terms keep the derivative of 1/qn
+    and 1/qp; the excursion moves as +x or -x (+y or -y) on the side that
+    was clipped.
     """
-    qn, qp = vec[0], vec[1]
-    q, x, y = _unclipped_profiles(vec, q_grid)
-    xc, yc = np.clip(x, 0.0, 1.0), np.clip(y, 0.0, 1.0)
+    q, qn, qp, x, y = _unclipped_profiles(vec, q_grid)
+    xc, yc, _ = _clip(x, y)
+    s_neg, curv_neg = u_neg._evaluate(xc, (1, 2))
+    s_pos, curv_pos = u_pos._evaluate(yc, (1, 2))
     # dx/dx0 = dy/dy0 = 1; in_x and in_y are 0 where the clip holds.
     dx_dqn, dy_dqp = -q / qn**2, q / qp**2
     in_x = (x == xc).astype(float)
     in_y = (y == yc).astype(float)
-    s_neg, s_pos = u_neg._slope(xc), u_pos._slope(yc)
-    c_neg, c_pos = u_neg._curvature(xc) * in_x, u_pos._curvature(yc) * in_y
+    c_neg, c_pos = curv_neg * in_x, curv_pos * in_y
+    jac = np.empty(x.shape[:-1] + (4, 3) + x.shape[-1:])
+    d_qn, d_qp, d_x0, d_y0 = (jac[..., k, :, :] for k in range(4))
 
-    d_v = np.empty((q.size, 4))
-    d_v[:, 2] = -s_neg * in_x
-    d_v[:, 3] = s_pos * in_y
-    d_v[:, 0] = d_v[:, 2] * dx_dqn
-    d_v[:, 1] = d_v[:, 3] * dy_dqp
+    d_x0[..., 0, :] = -s_neg * in_x
+    d_y0[..., 0, :] = s_pos * in_y
+    d_qn[..., 0, :] = d_x0[..., 0, :] * dx_dqn
+    d_qp[..., 0, :] = d_y0[..., 0, :] * dy_dqp
 
-    d_d = np.empty((q.size, 4))
-    d_d[:, 2] = -c_neg / qn
-    d_d[:, 3] = -c_pos / qp
-    d_d[:, 0] = d_d[:, 2] * dx_dqn + s_neg / qn**2
-    d_d[:, 1] = d_d[:, 3] * dy_dqp + s_pos / qp**2
+    d_x0[..., 1, :] = -c_neg / qn
+    d_y0[..., 1, :] = -c_pos / qp
+    d_qn[..., 1, :] = d_x0[..., 1, :] * dx_dqn + s_neg / qn**2
+    d_qp[..., 1, :] = d_y0[..., 1, :] * dy_dqp + s_pos / qp**2
 
     # Sign of the excursion's growth: +1 past 1, -1 below 0, 0 inside.
     sign_x, sign_y = np.sign(x - xc), np.sign(y - yc)
-    d_exc = np.empty((q.size, 4))
-    d_exc[:, 0] = sign_x * dx_dqn
-    d_exc[:, 1] = sign_y * dy_dqp
-    d_exc[:, 2] = sign_x
-    d_exc[:, 3] = sign_y
-    return d_v, d_d, d_exc
+    d_qn[..., 2, :] = sign_x * dx_dqn
+    d_qp[..., 2, :] = sign_y * dy_dqp
+    d_x0[..., 2, :] = sign_x
+    d_y0[..., 2, :] = sign_y
+    return jac
 
 
-def _profiles_in_window(p, q_grid):
-    x, y, excursion = clipped_profiles(param_vector(p), q_grid)
-    bad = excursion > 0.0
+def _in_window(p, q_grid, u_pos, u_neg) -> ModelTerms:
+    terms = evaluate(param_vector(p), q_grid, u_pos, u_neg)
+    bad = terms.excursion > 0.0
     if np.any(bad):
         q = np.asarray(q_grid, dtype=float).ravel()
         i = int(np.argmax(bad))
@@ -226,7 +242,7 @@ def _profiles_in_window(p, q_grid):
             f"(x={x_i:.6g}, y={y_i:.6g})",
             offending_q=float(q[i]),
         )
-    return x, y
+    return terms
 
 
 def predict_voltage(
@@ -236,8 +252,7 @@ def predict_voltage(
     u_neg: ReferencePotentialCurve,
 ) -> np.ndarray:
     """Predicted full-cell voltage U_pos(y(q)) - U_neg(x(q)) over ``q_grid``."""
-    x, y = _profiles_in_window(p, q_grid)
-    return cell_voltage(x, y, u_pos, u_neg)
+    return _in_window(p, q_grid, u_pos, u_neg).voltage
 
 
 def predict_dvdq(
@@ -252,6 +267,5 @@ def predict_dvdq(
     the predicted voltage, so the differential channel of the fit
     objective carries no grid-resolution noise.
     """
-    x, y = _profiles_in_window(p, q_grid)
-    dvdq_pos, dvdq_neg = electrode_dvdq(param_vector(p), x, y, u_pos, u_neg)
-    return dvdq_pos + dvdq_neg
+    terms = _in_window(p, q_grid, u_pos, u_neg)
+    return terms.dvdq_pos + terms.dvdq_neg

@@ -23,7 +23,7 @@ from .curves import (
 )
 from .errors import ConfigError, GenerationError, InfeasibilityError
 from .fitting import FitConfig, ParameterBounds, _channels, _prepare
-from .model import ElectrodeParams, clipped_voltage, param_vector, predict_voltage
+from .model import ElectrodeParams, evaluate, param_vector, predict_voltage
 
 # Capacity tolerance of the window root solves, Ah.
 Q_SOLVE_TOL_AH = 1e-9
@@ -138,7 +138,7 @@ def implied_v_min(
     u_neg: ReferencePotentialCurve,
 ) -> float:
     """Full-cell voltage in the discharged state (q = 0) for ``theta``."""
-    return float(clipped_voltage(param_vector(theta), 0.0, u_pos, u_neg))
+    return float(evaluate(param_vector(theta), 0.0, u_pos, u_neg).voltage)
 
 
 def _max_feasible_capacity(theta: ElectrodeParams) -> float:
@@ -162,7 +162,7 @@ def _solve_q_at_voltage(
     def voltage_error(q):
         # q stays in [0, q_hi] by construction; clipping only absorbs the
         # last-bit rounding of the boundary itself.
-        return float(clipped_voltage(vec, q, u_pos, u_neg)) - v_target
+        return float(evaluate(vec, q, u_pos, u_neg).voltage) - v_target
 
     q_hi = _max_feasible_capacity(theta)
     if voltage_error(0.0) > 0.0:
@@ -241,7 +241,7 @@ def degrade(
         # Strictly increasing in x0: raising x0 lowers y0, and both
         # potentials move the discharged voltage upward.
         vec = (qn_aged, qp_aged, x0, y0_of(x0))
-        return float(clipped_voltage(vec, 0.0, u_pos, u_neg)) - v_min
+        return float(evaluate(vec, 0.0, u_pos, u_neg).voltage) - v_min
 
     eps = 1e-12
     x_lo = max(0.0, (li_aged - qp_aged) / qn_aged)

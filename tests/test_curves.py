@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 
 from dvafit.curves import (
     CapacityVoltageSeries,
@@ -18,7 +19,9 @@ from dvafit.curves import (
     smooth,
     validate_full_cell,
 )
+from dvafit.dataio import parse_reference_curve
 from dvafit.errors import ConfigError, InfeasibilityError, InputDataError
+from dvafit.synth import analytic_reference_curves
 
 
 def _series(q, v, direction="charge"):
@@ -313,6 +316,32 @@ class TestInterpolatePotential:
 
 # ---------------------------------------------------------------------------
 # smoothing and differentiation
+
+
+class TestPchipCoefficients:
+    """The coefficient evaluator the forward model uses against scipy's
+    PchipInterpolator and its derivatives, kept as the reference."""
+
+    @pytest.fixture(scope="class")
+    def curves(self, data_dir):
+        bundled = [parse_reference_curve(data_dir / f"u_{r}.csv") for r in ("pos", "neg")]
+        return bundled + list(analytic_reference_curves())
+
+    def test_matches_scipy_with_derivatives(self, curves):
+        rng = np.random.default_rng(0)
+        for curve in curves:
+            ref = PchipInterpolator(curve.stoich_grid, curve.potential, extrapolate=False)
+            nodes = curve.stoich_grid
+            s_random = rng.random(5000)
+            s = np.concatenate([s_random, nodes, [0.0, 1.0]])
+            u, slope, curvature = curve._evaluate(s, (0, 1, 2))
+            for got, want in ((u, ref(s)), (slope, ref.derivative()(s))):
+                scale = np.max(np.abs(want))
+                assert np.max(np.abs(got - want)) <= 1e-13 * scale
+            # U'' jumps at the nodes, so compare it away from them only.
+            n = s_random.size
+            want = ref.derivative(2)(s_random)
+            assert np.max(np.abs(curvature[:n] - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestSmooth:

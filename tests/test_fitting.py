@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy.optimize._numdiff import approx_derivative
+from scipy.stats import qmc
 
 from dvafit.curves import CapacityVoltageSeries, SmoothingConfig, differentiate, resample
 from dvafit.errors import ConfigError
@@ -12,6 +13,7 @@ from dvafit.fitting import (
     FitResult,
     ParameterBounds,
     _prepare,
+    _solve,
     _stacked,
     _stacked_jacobian,
     fit,
@@ -137,6 +139,15 @@ class TestResiduals:
         assert np.array_equal(r_d[n : 2 * n], expected_d)
 
 
+def _jacobian_points(theta_true):
+    qf = theta_true.q_full
+    return {
+        "truth": np.array(param_vector(theta_true)),
+        "x_side": np.array([1.2 * qf, 3.0 * qf, 0.25, 0.95]),  # x100 = 1.08
+        "y_side": np.array([2.0 * qf, 1.02 * qf, 0.05, 0.90]),  # y100 = -0.08
+    }
+
+
 class TestJacobian:
     # Every entry within 1e-6 of the largest |J| entry: a 3-point
     # difference with a 1e-7 relative step is good to about 1e-8 of the
@@ -149,12 +160,7 @@ class TestJacobian:
         u_pos, u_neg = analytic_curves
         theta = ElectrodeParams(2.95, 2.80, 0.035, 0.94, 1.0)
         series, theta_true = _synth_series(u_pos, u_neg, theta)
-        qf = theta_true.q_full
-        vec = {
-            "truth": np.array(param_vector(theta_true)),
-            "x_side": np.array([1.2 * qf, 3.0 * qf, 0.25, 0.95]),  # x100 = 1.08
-            "y_side": np.array([2.0 * qf, 1.02 * qf, 0.05, 0.90]),  # y100 = -0.08
-        }[point]
+        vec = _jacobian_points(theta_true)[point]
         cfg = FitConfig(lam=lam)
         prob = _prepare(series, cfg)
         args = (prob, u_pos, u_neg, lam)
@@ -169,6 +175,49 @@ class TestJacobian:
         ref = approx_derivative(_stacked, vec, method="3-point", rel_step=1e-7, args=args)
         assert jac.shape == ref.shape == (3 * cfg.resample_points, 4)
         assert np.max(np.abs(jac - ref)) <= self.TOL * np.max(np.abs(jac))
+
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+    def test_batched_rows_equal_single_vector_calls(self, analytic_curves, lam):
+        u_pos, u_neg = analytic_curves
+        theta = ElectrodeParams(2.95, 2.80, 0.035, 0.94, 1.0)
+        series, theta_true = _synth_series(u_pos, u_neg, theta)
+        cfg = FitConfig(lam=lam)
+        args = (_prepare(series, cfg), u_pos, u_neg, lam)
+        points = list(_jacobian_points(theta_true).values())
+        batch = np.stack(points)
+        r_batch, jac_batch = _stacked(batch, *args), _stacked_jacobian(batch, *args)
+        n = 3 * cfg.resample_points
+        assert r_batch.shape == (3, n) and jac_batch.shape == (3, n, 4)
+        for k, vec in enumerate(points):
+            assert np.array_equal(r_batch[k], _stacked(vec, *args))
+            assert np.array_equal(jac_batch[k], _stacked_jacobian(vec, *args))
+
+
+class TestSolve:
+    @pytest.mark.parametrize("starts", [16, 4])
+    def test_starts_do_not_couple(self, analytic_curves, starts):
+        # Each start must end exactly where it ends when solved alone: the
+        # lockstep batch shares arrays and calls, never arithmetic.
+        u_pos, u_neg = analytic_curves
+        theta = ElectrodeParams(2.95, 2.80, 0.035, 0.94, 1.0)
+        series, _ = _synth_series(u_pos, u_neg, theta, noise=1e-3)
+        cfg = FitConfig(starts=starts)
+        prob = _prepare(series, cfg)
+        bounds = ParameterBounds.default(prob.q_full)
+        lo, hi = bounds.lower(), bounds.upper()
+        x0 = qmc.scale(qmc.LatinHypercube(d=4, seed=cfg.seed).random(n=starts), lo, hi)
+        x_scale = np.array([prob.q_full, prob.q_full, 0.1, 0.1])
+        args = (lo, hi, x_scale, prob, u_pos, u_neg, cfg)
+        together = _solve(x0, *args)
+        assert np.all((together.x >= lo) & (together.x <= hi))
+        assert np.any(together.nfev != together.nfev[0])  # starts stopped apart
+        for i in range(starts):
+            alone = _solve(x0[i : i + 1], *args)
+            assert np.array_equal(alone.x[0], together.x[i]), i
+            assert alone.objective[0] == together.objective[i], i
+            assert alone.status[0] == together.status[i], i
+            assert alone.nfev[0] == together.nfev[i], i
 
 
 class TestFit:
