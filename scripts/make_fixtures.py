@@ -61,13 +61,7 @@ def main():
     write_full_cell(series, os.path.join(DATA_DIR, "example_cell.csv"))
     truth = {
         "cell_id": "example_cell",
-        "theta": {
-            "qn_tilde": theta_true.qn_tilde,
-            "qp_tilde": theta_true.qp_tilde,
-            "x0_tilde": theta_true.x0_tilde,
-            "y0_tilde": theta_true.y0_tilde,
-            "q_full": theta_true.q_full,
-        },
+        "theta": theta_true,
         "v_min": v_min,
         "v_max": EXAMPLE_V_MAX,
     }

@@ -158,7 +158,7 @@ def _cmd_features(args) -> int:
             )
             features = batchmod.normalize_areal(record)
         cells.append(
-            {"cell_id": report.cell_id, "features": dataio._features_to_obj(features)}
+            {"cell_id": report.cell_id, "features": features}
         )
     sys.stdout.write(dataio.dumps_canonical({"cells": cells}))
     return 0
@@ -169,13 +169,19 @@ def _records_from_reports(paths, batch_id: str):
     for path in paths:
         report = dataio.read_report(path)
         basis = report.config_echo.get("areal_basis_cm2") or 1.0
+        try:
+            basis = float(basis)
+        except (TypeError, ValueError):
+            raise InputDataError(
+                f"{path}: report config_echo: bad value for 'areal_basis_cm2': {basis!r}"
+            ) from None
         records.append(
             batchmod.CellRecord(
                 cell_id=report.cell_id,
                 batch_id=batch_id,
                 theta=report.theta,
                 features=report.features,
-                areal_basis_cm2=float(basis),
+                areal_basis_cm2=basis,
             )
         )
     return records
@@ -234,14 +240,24 @@ def _cmd_batch(args) -> int:
     return 0
 
 
-def _parse_triple(text: str, flag: str) -> tuple[float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ConfigError(f"{flag} expects three comma-separated values, got {text!r}")
-    return tuple(float(p) for p in parts)
+def _parse_floats(text: str, flag: str, count: int) -> tuple[float, ...]:
+    try:
+        values = tuple(float(p) for p in text.split(","))
+    except ValueError:
+        values = ()
+    if len(values) != count:
+        raise ConfigError(f"{flag} expects {count} comma-separated numbers, got {text!r}")
+    return values
 
 
 def _cmd_synth(args) -> int:
+    fixed_theta = None
+    if args.theta:
+        qn, qp, x0, y0 = _parse_floats(args.theta, "--theta", 4)
+        fixed_theta = ElectrodeParams(
+            qn_tilde=qn, qp_tilde=qp, x0_tilde=x0, y0_tilde=y0, q_full=min(qn, qp)
+        )
+    d = DegradationSpec(*_parse_floats(args.degrade, "--degrade", 3)) if args.degrade else None
     os.makedirs(args.out_dir, exist_ok=True)
     u_pos, u_neg = analytic_reference_curves(staging_amplitude=args.staging_amplitude)
     dataio.write_reference_curve(u_pos, os.path.join(args.out_dir, "u_pos.csv"))
@@ -249,11 +265,8 @@ def _cmd_synth(args) -> int:
 
     rng = np.random.default_rng(args.seed)
     for i in range(args.n_cells):
-        if args.theta:
-            qn, qp, x0, y0 = (float(v) for v in args.theta.split(","))
-            theta = ElectrodeParams(
-                qn_tilde=qn, qp_tilde=qp, x0_tilde=x0, y0_tilde=y0, q_full=min(qn, qp)
-            )
+        if fixed_theta is not None:
+            theta = fixed_theta
         else:
             theta = random_feasible_theta(rng, u_pos, u_neg, args.v_max)
         v_min = implied_v_min(theta, u_pos, u_neg)
@@ -270,7 +283,7 @@ def _cmd_synth(args) -> int:
         dataio.write_full_cell(series, os.path.join(args.out_dir, name + ".csv"))
         truth = {
             "cell_id": name,
-            "theta": dataio._theta_to_obj(theta_true),
+            "theta": theta_true,
             "v_min": v_min,
             "v_max": args.v_max,
             "noise_sigma_v": args.noise_sigma_v,
@@ -279,8 +292,7 @@ def _cmd_synth(args) -> int:
         with open(os.path.join(args.out_dir, name + ".truth.json"), "w", encoding="utf-8") as fh:
             fh.write(dataio.dumps_canonical(truth))
 
-        if args.degrade:
-            d = DegradationSpec(*_parse_triple(args.degrade, "--degrade"))
+        if d is not None:
             theta_aged = degrade(theta_true, d, u_pos, u_neg, v_min, args.v_max)
             aged_spec = SynthSpec(
                 theta_true=theta_aged,
@@ -296,8 +308,8 @@ def _cmd_synth(args) -> int:
             )
             truth_aged = {
                 "cell_id": name + "_aged",
-                "theta": dataio._theta_to_obj(theta_aged),
-                "injected": {"lam_pe": d.lam_pe, "lam_ne": d.lam_ne, "lli": d.lli},
+                "theta": theta_aged,
+                "injected": d,
                 "v_min": v_min,
                 "v_max": args.v_max,
                 "noise_sigma_v": args.noise_sigma_v,
@@ -312,24 +324,12 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_correct(args) -> int:
+    x_lo, x_hi = _parse_floats(args.x_window, "--x-window", 2)
+    y_lo, y_hi = _parse_floats(args.y_window, "--y-window", 2)
     report = dataio.read_report(args.report)
-    x_lo, x_hi = (float(v) for v in args.x_window.split(","))
-    y_lo, y_hi = (float(v) for v in args.y_window.split(","))
     c = CorrectionInputs(x_min=x_lo, x_max=x_hi, y_min=y_lo, y_max=y_hi)
     corrected = correct_to_true(report.theta, c, anchor=args.anchor)
-    out = {
-        "cell_id": report.cell_id,
-        "window": {"x_min": x_lo, "x_max": x_hi, "y_min": y_lo, "y_max": y_hi},
-        "q_p": corrected.q_p,
-        "q_n": corrected.q_n,
-        "x0_minus_x100": corrected.x0_minus_x100,
-        "y0_minus_y100": corrected.y0_minus_y100,
-        "anchored": corrected.anchored,
-        "x0": corrected.x0,
-        "x100": corrected.x100,
-        "y0": corrected.y0,
-        "y100": corrected.y100,
-    }
+    out = {"cell_id": report.cell_id, "window": c, **corrected._asdict()}
     sys.stdout.write(dataio.dumps_canonical(out))
     return 0
 

@@ -5,15 +5,29 @@ row naming the columns, then numeric rows.  Reports and configuration
 are JSON.  Report serialization is canonical (sorted keys, floats at 17
 significant digits), so serialize -> parse -> serialize is
 byte-identical and reports diff cleanly under version control.
+
+The report layout is stated once, by the dataclasses: a report is the
+fields of :class:`Report`, and its sections are the fields of
+``ElectrodeParams`` (``theta``), ``FeatureSet`` with ``ArealFeatures``
+(``features``), ``FitDiagnostics`` (``fit``, with ``lam`` written as
+``lambda``), ``StartRecord`` and ``InputFile``.  :func:`dumps_canonical`
+writes any dataclass or NamedTuple as an object with one key per field,
+and :func:`parse_report` reads each field back by its annotation, so a
+new field is one edit.  Malformed files and reports raise
+``InputDataError``; malformed configuration values raise ``ConfigError``.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
+import inspect
 import json
 import math
 import os
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -26,7 +40,7 @@ from .curves import (
     build_reference_curve,
 )
 from .errors import ConfigError, InputDataError
-from .features import ArealFeatures, DesignParams, FeatureSet
+from .features import DesignParams, FeatureSet
 from .fitting import FitConfig, FitResult, ParameterBounds, StartRecord
 from .model import ElectrodeParams
 
@@ -47,8 +61,37 @@ def format_float(x: float) -> str:
     return text
 
 
+# Field name -> JSON key, where the two differ.
+_RENAMES = {"diagnostics": "fit", "lam": "lambda"}
+_REQUIRED, _DEFAULT = object(), object()
+
+
+@functools.cache
+def _record_fields(cls) -> tuple | None:
+    """``(name, key, kind, absent)`` per field of a dataclass or NamedTuple,
+    or None for any other class.  ``kind`` is the resolved annotation and
+    ``absent`` what a missing key reads as: the field's ``when_absent``
+    metadata, else ``_DEFAULT`` (the field's default) or ``_REQUIRED``."""
+    if dataclasses.is_dataclass(cls):
+        fields = [(f.name, f.metadata) for f in dataclasses.fields(cls)]
+    elif issubclass(cls, tuple) and hasattr(cls, "_fields"):
+        fields = [(name, {}) for name in cls._fields]
+    else:
+        return None
+    hints = typing.get_type_hints(cls)
+    params = inspect.signature(cls).parameters
+    out = []
+    for name, meta in fields:
+        absent = _REQUIRED if params[name].default is params[name].empty else _DEFAULT
+        out.append((name, _RENAMES.get(name, name), hints[name], meta.get("when_absent", absent)))
+    return tuple(out)
+
+
 def _dumps_canonical(obj, indent=0) -> str:
     pad = "  " * indent
+    fields = _record_fields(type(obj))
+    if fields is not None:  # a dataclass or NamedTuple: one key per field
+        obj = {key: getattr(obj, name) for name, key, _, _ in fields}
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -77,7 +120,9 @@ def _dumps_canonical(obj, indent=0) -> str:
 
 
 def dumps_canonical(obj) -> str:
-    """Deterministic JSON text for a report-shaped object tree."""
+    """Deterministic JSON text for a tree of JSON values, tuples (written as
+    lists), dataclasses and NamedTuples (objects with one key per field,
+    renamed per ``_RENAMES``)."""
     return _dumps_canonical(obj) + "\n"
 
 
@@ -120,6 +165,13 @@ def _read_csv_sections(path):
     return meta, header, rows, header_lineno
 
 
+def _meta_float(path, key: str, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise InputDataError(f"{path}: metadata '{key}' must be a number, got {text!r}") from None
+
+
 def _parse_numeric_rows(path, rows, n_cols):
     out = np.empty((len(rows), n_cols))
     for i, (lineno, line) in enumerate(rows):
@@ -146,7 +198,7 @@ def parse_full_cell(path) -> CapacityVoltageSeries:
     """
     meta, header, rows, header_lineno = _read_csv_sections(path)
     direction = meta.get("direction", "charge")
-    c_rate = float(meta.get("c_rate", "0"))
+    c_rate = _meta_float(path, "c_rate", meta.get("c_rate", "0"))
     label = meta.get("temperature_label", "")
     q_unit = meta.get("q_unit", "Ah")
     try:
@@ -203,10 +255,11 @@ def parse_reference_curve(path) -> ReferencePotentialCurve:
     for key in ("electrode_role", "direction"):
         if key not in meta:
             raise InputDataError(f"{path}: missing required metadata line '# {key} = ...'")
+    c_rate = _meta_float(path, "c_rate", meta.get("c_rate", "0"))
     data = _parse_numeric_rows(path, rows, 2)
     cap, pot = data[:, 0], data[:, 1]
     if "v_min" in meta and "v_max" in meta:
-        window = (float(meta["v_min"]), float(meta["v_max"]))
+        window = tuple(_meta_float(path, key, meta[key]) for key in ("v_min", "v_max"))
     else:
         window = (float(pot.min()), float(pot.max()))
     try:
@@ -215,7 +268,7 @@ def parse_reference_curve(path) -> ReferencePotentialCurve:
             pot,
             electrode_role=meta["electrode_role"],
             direction=meta["direction"],
-            c_rate=float(meta.get("c_rate", "0")),
+            c_rate=c_rate,
             voltage_window=window,
         )
     except InputDataError as exc:
@@ -257,14 +310,38 @@ class ToolkitConfig:
     echo: dict
 
 
-def _design_from(obj: dict, where: str) -> DesignParams:
+def _config_object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: expected an object, got {value!r}")
+    return value
+
+
+def _config_number(value, cast, where: str):
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{where}: expected a number, got {value!r}") from None
+
+
+def _bound_pair(value, where: str) -> tuple[float, float]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"{where}: expected [lo, hi], got {value!r}")
+    return tuple(_config_number(v, float, where) for v in value)
+
+
+def _design_from(obj, where: str) -> DesignParams:
+    obj = _config_object(obj, where)
+
+    def number(key, cast=float):
+        return _config_number(obj[key], cast, f"{where}.{key}")
+
     try:
         return DesignParams(
-            loading_mg_cm2=float(obj["loading_mg_cm2"]),
-            active_fraction=float(obj["active_fraction"]),
-            n_faces=int(obj["n_faces"]),
-            area_per_face_cm2=float(obj["area_per_face_cm2"]),
-            q_theor_mah_g=float(obj["q_theor_mah_g"]),
+            loading_mg_cm2=number("loading_mg_cm2"),
+            active_fraction=number("active_fraction"),
+            n_faces=number("n_faces", int),
+            area_per_face_cm2=number("area_per_face_cm2"),
+            q_theor_mah_g=number("q_theor_mah_g"),
         )
     except KeyError as exc:
         raise ConfigError(f"{where}: missing design key {exc}") from None
@@ -283,18 +360,23 @@ _FIT_KEYS = (
 )
 
 
-def _fit_config_from(obj: dict) -> FitConfig:
-    smoothing = SmoothingConfig(**obj.get("smoothing", {}))
+def _fit_config_from(obj) -> FitConfig:
+    obj = _config_object(obj, "fit")
+    smoothing = SmoothingConfig(**_config_object(obj.get("smoothing", {}), "fit.smoothing"))
     bounds = None
     if obj.get("bounds") is not None:
-        b = obj["bounds"]
+        b = _config_object(obj["bounds"], "fit.bounds")
         try:
             bounds = ParameterBounds(
-                qn=tuple(b["qn"]), qp=tuple(b["qp"]), x0=tuple(b["x0"]), y0=tuple(b["y0"])
+                **{k: _bound_pair(b[k], f"fit.bounds.{k}") for k in ("qn", "qp", "x0", "y0")}
             )
         except KeyError as exc:
             raise ConfigError(f"fit.bounds: missing key {exc}") from None
-    present = {field: cast(obj[key]) for key, field, cast in _FIT_KEYS if key in obj}
+    present = {
+        name: _config_number(obj[key], cast, f"fit.{key}")
+        for key, name, cast in _FIT_KEYS
+        if key in obj
+    }
     return FitConfig(bounds=bounds, smoothing=smoothing, **present)
 
 
@@ -310,16 +392,17 @@ def load_config(path) -> ToolkitConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
 
-    curves_obj = raw.get("reference_curves", {})
-    u_pos_path = curves_obj.get("positive", "")
-    u_neg_path = curves_obj.get("negative", "")
+    curves_obj = _config_object(raw.get("reference_curves", {}), "reference_curves")
     base = os.path.dirname(os.path.abspath(path))
     resolved = []
-    for p in (u_pos_path, u_neg_path):
+    for role in ("positive", "negative"):
+        p = curves_obj.get(role, "")
         if not p:
             raise ConfigError(
                 f"{path}: reference_curves.positive and .negative paths are required"
             )
+        if not isinstance(p, str):
+            raise ConfigError(f"reference_curves.{role}: expected a path, got {p!r}")
         full = p if os.path.isabs(p) else os.path.join(base, p)
         if not os.path.exists(full):
             raise ConfigError(f"{path}: referenced file does not exist: {p}")
@@ -331,15 +414,20 @@ def load_config(path) -> ToolkitConfig:
         raise ConfigError(f"{path}: bad fit settings: {exc}") from None
 
     areal = raw.get("areal_basis_cm2")
-    design = raw.get("design") or {}
+    if areal is not None:
+        areal = _config_number(areal, float, "areal_basis_cm2")
+    design = _config_object(raw.get("design") or {}, "design")
+    output_dir = raw.get("output_dir", ".")
+    if not isinstance(output_dir, str):
+        raise ConfigError(f"output_dir: expected a path, got {output_dir!r}")
     return ToolkitConfig(
         u_pos_path=resolved[0],
         u_neg_path=resolved[1],
         fit=fit_cfg,
-        areal_basis_cm2=float(areal) if areal is not None else None,
+        areal_basis_cm2=areal,
         design_pos=_design_from(design["positive"], "design.positive") if "positive" in design else None,
         design_neg=_design_from(design["negative"], "design.negative") if "negative" in design else None,
-        output_dir=raw.get("output_dir", "."),
+        output_dir=output_dir,
         echo=raw,
     )
 
@@ -363,22 +451,24 @@ class FitDiagnostics:
     converged: bool
     iterations: int
     lam: float
-    start_records: tuple[StartRecord, ...]
+    start_records: tuple[StartRecord, ...] = ()
 
 
 @dataclass(frozen=True)
 class Report:
-    """Per-cell machine-readable output of the fitting pipeline."""
+    """Per-cell machine-readable output of the fitting pipeline; its fields
+    are the report format (see the module docstring)."""
 
     cell_id: str
     seed: int
     theta: ElectrodeParams
     features: FeatureSet
     diagnostics: FitDiagnostics
-    inputs: tuple[InputFile, ...]
-    config_echo: dict
+    inputs: tuple[InputFile, ...] = ()
+    config_echo: dict = field(default_factory=dict)
     schema_version: int = REPORT_SCHEMA_VERSION
-    toolkit_version: str = __version__
+    # Reports written without a version read back as "".
+    toolkit_version: str = field(default=__version__, metadata={"when_absent": ""})
 
 
 def diagnostics_from_result(result: FitResult, lam: float) -> FitDiagnostics:
@@ -393,73 +483,8 @@ def diagnostics_from_result(result: FitResult, lam: float) -> FitDiagnostics:
     )
 
 
-def _theta_to_obj(theta: ElectrodeParams) -> dict:
-    return {
-        "qn_tilde": theta.qn_tilde,
-        "qp_tilde": theta.qp_tilde,
-        "x0_tilde": theta.x0_tilde,
-        "y0_tilde": theta.y0_tilde,
-        "q_full": theta.q_full,
-    }
-
-
-def _features_to_obj(f: FeatureSet) -> dict:
-    areal = None
-    if f.areal is not None:
-        areal = {
-            "q_full": f.areal.q_full,
-            "qp_tilde": f.areal.qp_tilde,
-            "qn_tilde": f.areal.qn_tilde,
-            "q_sei": f.areal.q_sei,
-            "q_li": f.areal.q_li,
-            "qn_excess": f.areal.qn_excess,
-        }
-    return {
-        "q_sei": f.q_sei,
-        "q_li": f.q_li,
-        "qn_excess": f.qn_excess,
-        "npr_practical": f.npr_practical,
-        "npr_conventional": f.npr_conventional,
-        "x100_tilde": f.x100_tilde,
-        "y100_tilde": f.y100_tilde,
-        "q_full": f.q_full,
-        "anomalies": list(f.anomalies),
-        "areal": areal,
-    }
-
-
 def serialize_report(report: Report) -> str:
-    obj = {
-        "schema_version": report.schema_version,
-        "toolkit_version": report.toolkit_version,
-        "cell_id": report.cell_id,
-        "seed": report.seed,
-        "theta": _theta_to_obj(report.theta),
-        "features": _features_to_obj(report.features),
-        "fit": {
-            "objective": report.diagnostics.objective,
-            "rmse_voltage": report.diagnostics.rmse_voltage,
-            "rmse_dvdq": report.diagnostics.rmse_dvdq,
-            "converged": report.diagnostics.converged,
-            "iterations": report.diagnostics.iterations,
-            "lambda": report.diagnostics.lam,
-            "start_records": [
-                {"theta0": list(rec.theta0), "objective": rec.objective}
-                for rec in report.diagnostics.start_records
-            ],
-        },
-        "inputs": [
-            {"name": f.name, "path": f.path, "sha256": f.sha256} for f in report.inputs
-        ],
-        "config_echo": report.config_echo,
-    }
-    return dumps_canonical(obj)
-
-
-def _require(obj: dict, key: str, where: str):
-    if key not in obj:
-        raise InputDataError(f"report {where}: missing key {key!r}")
-    return obj[key]
+    return dumps_canonical(report)
 
 
 def _object(value, where: str) -> dict:
@@ -468,24 +493,51 @@ def _object(value, where: str) -> dict:
     return value
 
 
-def _list(obj: dict, key: str, where: str) -> list:
-    value = obj.get(key, [])
-    if not isinstance(value, list):
-        raise InputDataError(f"report {where}: {key!r} must be a list, got {value!r}")
-    return value
+def _path(where: str, key: str) -> str:
+    return key if where == "top level" else f"{where}.{key}"
 
 
-def _field(obj: dict, key: str, where: str, kind=float):
-    """``kind(obj[key])``, with a missing key or a value ``kind`` rejects as InputDataError."""
-    value = _require(obj, key, where)
+@functools.cache
+def _origin_and_args(kind) -> tuple:
+    return typing.get_origin(kind), typing.get_args(kind)
+
+
+def _decode(kind, value, where: str, key: str):
+    """``value``, found under ``key`` of the object at ``where``, read as ``kind``."""
+    origin, args = _origin_and_args(kind)
+    if type(None) in args:  # X | None
+        return None if value is None else _decode(args[0], value, where, key)
+    if origin is tuple and args[-1] is Ellipsis:
+        if not isinstance(value, list):
+            raise InputDataError(f"report {where}: {key!r} must be a list, got {value!r}")
+        return tuple(_decode(args[0], v, where, key) for v in value)
+    if origin is tuple:
+        if not isinstance(value, list) or len(value) != len(args):
+            raise InputDataError(f"report {where}: bad value for {key!r}: {value!r}")
+        return tuple(_decode(k, v, where, key) for k, v in zip(args, value))
+    if kind is dict:
+        return _object(value, _path(where, key))
+    if _record_fields(kind) is not None:
+        return _read_record(kind, value, _path(where, key))
     try:
         return kind(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InputDataError(f"report {where}: bad value for {key!r}: {value!r}") from None
 
 
-def _floats(values) -> tuple:
-    return tuple(float(v) for v in values)
+def _read_record(cls, value, where: str):
+    obj = _object(value, where)
+    fields = _record_fields(cls)
+    for _, key, _, absent in fields:
+        if absent is _REQUIRED and key not in obj:
+            raise InputDataError(f"report {where}: missing key {key!r}")
+    return cls(
+        **{
+            name: _decode(kind, obj[key], where, key) if key in obj else absent
+            for name, key, kind, absent in fields
+            if key in obj or absent is not _DEFAULT
+        }
+    )
 
 
 def parse_report(text: str) -> Report:
@@ -494,74 +546,12 @@ def parse_report(text: str) -> Report:
     except json.JSONDecodeError as exc:
         raise InputDataError(f"report is not valid JSON: {exc}") from None
     obj = _object(obj, "top level")
-    version = _require(obj, "schema_version", "top level")
+    if "schema_version" not in obj:
+        raise InputDataError("report top level: missing key 'schema_version'")
+    version = obj["schema_version"]
     if version != REPORT_SCHEMA_VERSION:
         raise InputDataError(f"unsupported report schema_version {version}")
-    t = _object(_require(obj, "theta", "top level"), "theta")
-    theta = ElectrodeParams(
-        qn_tilde=_field(t, "qn_tilde", "theta"),
-        qp_tilde=_field(t, "qp_tilde", "theta"),
-        x0_tilde=_field(t, "x0_tilde", "theta"),
-        y0_tilde=_field(t, "y0_tilde", "theta"),
-        q_full=_field(t, "q_full", "theta"),
-    )
-    f = _object(_require(obj, "features", "top level"), "features")
-    areal = None
-    if f.get("areal") is not None:
-        a = _object(f["areal"], "features.areal")
-        areal = ArealFeatures(
-            q_full=_field(a, "q_full", "features.areal"),
-            qp_tilde=_field(a, "qp_tilde", "features.areal"),
-            qn_tilde=_field(a, "qn_tilde", "features.areal"),
-            q_sei=_field(a, "q_sei", "features.areal"),
-            q_li=_field(a, "q_li", "features.areal"),
-            qn_excess=_field(a, "qn_excess", "features.areal"),
-        )
-    features = FeatureSet(
-        q_sei=_field(f, "q_sei", "features"),
-        q_li=_field(f, "q_li", "features"),
-        qn_excess=_field(f, "qn_excess", "features"),
-        npr_practical=_field(f, "npr_practical", "features"),
-        npr_conventional=_field(f, "npr_conventional", "features"),
-        x100_tilde=_field(f, "x100_tilde", "features"),
-        y100_tilde=_field(f, "y100_tilde", "features"),
-        q_full=_field(f, "q_full", "features"),
-        anomalies=tuple(_list(f, "anomalies", "features")),
-        areal=areal,
-    )
-    d = _object(_require(obj, "fit", "top level"), "fit")
-    records = [_object(r, "fit.start_records") for r in _list(d, "start_records", "fit")]
-    diagnostics = FitDiagnostics(
-        objective=_field(d, "objective", "fit"),
-        rmse_voltage=_field(d, "rmse_voltage", "fit"),
-        rmse_dvdq=_field(d, "rmse_dvdq", "fit"),
-        converged=bool(_require(d, "converged", "fit")),
-        iterations=_field(d, "iterations", "fit", kind=int),
-        lam=_field(d, "lambda", "fit"),
-        start_records=tuple(
-            StartRecord(
-                theta0=_field(rec, "theta0", "fit.start_records", kind=_floats),
-                objective=_field(rec, "objective", "fit.start_records"),
-            )
-            for rec in records
-        ),
-    )
-    entries = [_object(i, "inputs") for i in _list(obj, "inputs", "top level")]
-    inputs = tuple(
-        InputFile(*(_require(e, k, "inputs") for k in ("name", "path", "sha256")))
-        for e in entries
-    )
-    return Report(
-        cell_id=str(_require(obj, "cell_id", "top level")),
-        seed=_field(obj, "seed", "top level", kind=int),
-        theta=theta,
-        features=features,
-        diagnostics=diagnostics,
-        inputs=inputs,
-        config_echo=obj.get("config_echo", {}),
-        schema_version=version,
-        toolkit_version=str(obj.get("toolkit_version", "")),
-    )
+    return _read_record(Report, obj, "top level")
 
 
 def read_report(path) -> Report:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from dvafit import dataio
 from dvafit.cli import main
 from dvafit.curves import CapacityVoltageSeries
 from dvafit.errors import ConfigError, InputDataError
-from dvafit.features import derive_features
+from dvafit.features import ArealFeatures, derive_features
 from dvafit.fitting import FitConfig, StartRecord
 from dvafit.model import ElectrodeParams
 
@@ -187,6 +188,13 @@ class TestFullCellIo:
         with pytest.raises(InputDataError, match="no data rows"):
             dataio.parse_full_cell(path)
 
+    @pytest.mark.parametrize("header", ["capacity_ah,voltage_v", "time_s,current_a,voltage_v"])
+    def test_non_numeric_c_rate_names_file_and_key(self, tmp_path, header):
+        rows = "0.0,3.0\n1.0,3.5\n" if header.count(",") == 1 else "0.0,1.0,3.0\n3600.0,1.0,3.5\n"
+        path = _write(tmp_path / "cell.csv", f"# c_rate = fast\n{header}\n{rows}")
+        with pytest.raises(InputDataError, match=r"cell\.csv: metadata 'c_rate' must be a number"):
+            dataio.parse_full_cell(path)
+
 
 class TestReferenceCurveIo:
     def test_write_parse_round_trip(self, tmp_path):
@@ -230,6 +238,18 @@ class TestReferenceCurveIo:
             "stoich,potential_v\n0,1.0\n1,0.8\n",
         )
         with pytest.raises(InputDataError, match="unrecognized header"):
+            dataio.parse_reference_curve(path)
+
+    @pytest.mark.parametrize("key", ["c_rate", "v_min", "v_max"])
+    def test_non_numeric_metadata_names_file_and_key(self, tmp_path, key):
+        meta = {"c_rate": "0.05", "v_min": "0.4", "v_max": "1.0", key: "n/a"}
+        path = _write(
+            tmp_path / "u.csv",
+            "# electrode_role = negative\n# direction = lithiation\n"
+            + "".join(f"# {k} = {v}\n" for k, v in meta.items())
+            + "capacity_mah,potential_v\n0,1.0\n1,0.8\n2,0.6\n3,0.4\n",
+        )
+        with pytest.raises(InputDataError, match=rf"u\.csv: metadata '{key}' must be a number"):
             dataio.parse_reference_curve(path)
 
 
@@ -318,6 +338,43 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="bounds"):
             dataio.load_config(path2)
 
+    BOUNDS = {"qn": [2.0, 4.0], "qp": [2.0, 4.0], "x0": [0.0, 0.2], "y0": [0.8, 1.0]}
+    DESIGN = {"loading_mg_cm2": 9.0, "active_fraction": 0.96, "n_faces": 28,
+              "area_per_face_cm2": 79.2, "q_theor_mah_g": 360.0}
+
+    @pytest.mark.parametrize(
+        "key, value, match",
+        [
+            ("fit.starts", "many", r"fit\.starts: expected a number, got 'many'"),
+            ("fit", [], r"fit: expected an object"),
+            ("reference_curves", ["u_pos.csv"], r"reference_curves: expected an object"),
+            ("reference_curves.positive", 3, r"reference_curves\.positive: expected a path"),
+            ("areal_basis_cm2", "big", r"areal_basis_cm2: expected a number"),
+            ("fit.bounds", dict(BOUNDS, qn=[2.0, 3.0, 4.0]), r"fit\.bounds\.qn: expected \[lo, hi\]"),
+            ("fit.bounds", dict(BOUNDS, qn=[2.0, "x"]), r"fit\.bounds\.qn: expected a number"),
+            ("design.negative", dict(DESIGN, loading_mg_cm2="heavy"),
+             r"design\.negative\.loading_mg_cm2: expected a number, got 'heavy'"),
+            ("design", ["positive"], r"design: expected an object"),
+            ("output_dir", 7, r"output_dir: expected a path"),
+        ],
+    )
+    def test_malformed_value_rejected_naming_key(self, tmp_path, key, value, match):
+        cfg_obj = {
+            "reference_curves": {
+                "positive": str(DATA_DIR / "u_pos.csv"),
+                "negative": str(DATA_DIR / "u_neg.csv"),
+            },
+            "fit": {"lambda": 0.5},
+        }
+        *parents, last = key.split(".")
+        target = cfg_obj
+        for name in parents:
+            target = target.setdefault(name, {})
+        target[last] = value
+        path = _write(tmp_path / "c.json", json.dumps(cfg_obj))
+        with pytest.raises(ConfigError, match=match):
+            dataio.load_config(path)
+
     def test_bad_smoothing_key_rejected(self, tmp_path):
         cfg_obj = {
             "reference_curves": {
@@ -331,7 +388,100 @@ class TestLoadConfig:
             dataio.load_config(path)
 
 
+GOLDEN_REPORT = """\
+{
+  "cell_id": "cellA",
+  "config_echo": {
+    "fit": {
+      "seed": 7
+    }
+  },
+  "features": {
+    "anomalies": [],
+    "areal": null,
+    "npr_conventional": 1.0535714285714286,
+    "npr_practical": 1.5815277777777776,
+    "q_full": 1.8,
+    "q_li": 2.7352499999999997,
+    "q_sei": 0.064750000000000127,
+    "qn_excess": 1.0467500000000001,
+    "x100_tilde": 0.64516949152542369,
+    "y100_tilde": 0.29714285714285704
+  },
+  "fit": {
+    "converged": true,
+    "iterations": 41,
+    "lambda": 0.5,
+    "objective": 1.2500000000000001e-06,
+    "rmse_dvdq": 0.014999999999999999,
+    "rmse_voltage": 0.43333333333333335,
+    "start_records": [
+      {
+        "objective": 2.5000000000000002e-06,
+        "theta0": [
+          2.8999999999999999,
+          2.7000000000000002,
+          0.029999999999999999,
+          0.92000000000000004
+        ]
+      },
+      {
+        "objective": 1.2500000000000001e-06,
+        "theta0": [
+          3.1000000000000001,
+          2.8999999999999999,
+          0.050000000000000003,
+          0.94999999999999996
+        ]
+      }
+    ]
+  },
+  "inputs": [
+    {
+      "name": "full_cell",
+      "path": "cell.csv",
+      "sha256": "0000000000000000000000000000000000000000000000000000000000000000"
+    }
+  ],
+  "schema_version": 1,
+  "seed": 7,
+  "theta": {
+    "q_full": 1.8,
+    "qn_tilde": 2.9500000000000002,
+    "qp_tilde": 2.7999999999999998,
+    "x0_tilde": 0.035000000000000003,
+    "y0_tilde": 0.93999999999999995
+  },
+  "toolkit_version": "0.1.0"
+}
+"""
+
+
 class TestReportIo:
+    def test_serialized_bytes_are_pinned(self):
+        assert dataio.serialize_report(_make_report()) == GOLDEN_REPORT
+
+    def test_areal_features_and_anomalies_round_trip(self):
+        report = _make_report()
+        features = replace(
+            report.features,
+            anomalies=("q_sei < 0", "x100_tilde > 1"),
+            areal=ArealFeatures(
+                q_full=1.5, qp_tilde=2.5, qn_tilde=2.75, q_sei=0.125, q_li=2.25, qn_excess=1.0 / 3.0
+            ),
+        )
+        report = replace(report, features=features)
+        text = dataio.serialize_report(report)
+        obj = json.loads(text)
+        assert obj["features"]["anomalies"] == ["q_sei < 0", "x100_tilde > 1"]
+        assert obj["features"]["areal"] == {
+            "q_full": 1.5, "qp_tilde": 2.5, "qn_tilde": 2.75,
+            "q_sei": 0.125, "q_li": 2.25, "qn_excess": 1.0 / 3.0,
+        }
+        back = dataio.parse_report(text)
+        assert back == report
+        assert dataio.serialize_report(back) == text
+
     def test_serialize_parse_serialize_byte_identical(self):
         report = _make_report()
         text = dataio.serialize_report(report)
@@ -390,6 +540,37 @@ class TestReportIo:
             dataio.parse_report(json.dumps(obj))
         obj["fit"]["start_records"] = [{"theta0": [2.9]}]
         with pytest.raises(InputDataError, match=r"fit.start_records: missing key 'objective'"):
+            dataio.parse_report(json.dumps(obj))
+
+    def test_optional_keys_read_as_their_defaults(self):
+        obj = json.loads(dataio.serialize_report(_make_report()))
+        for key in ("inputs", "config_echo", "toolkit_version"):
+            del obj[key]
+        for key in ("anomalies", "areal"):
+            del obj["features"][key]
+        del obj["fit"]["start_records"]
+        report = dataio.parse_report(json.dumps(obj))
+        assert report.inputs == () and report.config_echo == {}
+        assert report.toolkit_version == ""
+        assert report.features.anomalies == () and report.features.areal is None
+        assert report.diagnostics.start_records == ()
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda o: o.update(config_echo=[1]), r"report config_echo: expected an object"),
+            (lambda o: o["inputs"][0].pop("sha256"), r"report inputs: missing key 'sha256'"),
+            (lambda o: o.update(inputs=[3]), r"report inputs: expected an object"),
+            (lambda o: o["fit"]["start_records"][0].update(theta0=[2.9, 2.7, 0.03]),
+             r"report fit.start_records: bad value for 'theta0'"),
+            (lambda o: o["features"].update(areal={}), r"report features.areal: missing key"),
+            (lambda o: o.update(seed=1e400), r"report top level: bad value for 'seed'"),
+        ],
+    )
+    def test_malformed_nested_value_rejected_naming_path(self, edit, match):
+        obj = json.loads(dataio.serialize_report(_make_report()))
+        edit(obj)
+        with pytest.raises(InputDataError, match=match):
             dataio.parse_report(json.dumps(obj))
 
     def test_section_that_is_not_an_object_rejected(self):
@@ -482,6 +663,50 @@ class TestCliFit:
         assert "not aligned" in capsys.readouterr().err
 
 
+class TestCliBadValues:
+    @pytest.mark.parametrize(
+        "argv, match",
+        [
+            (["synth", "--theta", "1,2"], "--theta expects 4 comma-separated numbers"),
+            (["synth", "--degrade", "0.1,abc,0.1"], "--degrade expects 3 comma-separated numbers"),
+            (["correct", "--x-window", "0", "--y-window", "0,1"], "--x-window expects 2"),
+            (["correct", "--x-window", "0,1", "--y-window", "0,1,1"], "--y-window expects 2"),
+        ],
+    )
+    def test_malformed_flag_exits_5(self, tmp_path, capsys, argv, match):
+        target = {"synth": ["--out-dir", str(tmp_path / "out")], "correct": ["--report", "r.json"]}
+        assert main(argv + target[argv[0]]) == ConfigError.exit_code
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        record = json.loads(err[0])
+        assert record["error"] == "ConfigError" and match in record["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_malformed_config_value_exits_5(self, tmp_path, capsys):
+        cfg_obj = json.loads((DATA_DIR / "config.json").read_text())
+        cfg_obj["reference_curves"] = {
+            "positive": str(DATA_DIR / "u_pos.csv"),
+            "negative": str(DATA_DIR / "u_neg.csv"),
+        }
+        cfg_obj["fit"]["starts"] = "many"
+        cfg = _write(tmp_path / "c.json", json.dumps(cfg_obj))
+        cell = str(DATA_DIR / "example_cell.csv")
+        code = main(["fit", "--config", cfg, "--out-dir", str(tmp_path), cell])
+        assert code == ConfigError.exit_code
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "ConfigError" and "fit.starts" in record["message"]
+
+    def test_non_numeric_metadata_exits_2(self, tmp_path, capsys):
+        text = (DATA_DIR / "rate_check_c20.csv").read_text()
+        assert "# c_rate = " in text
+        lines = ["# c_rate = fast" if ln.startswith("# c_rate") else ln for ln in text.splitlines()]
+        slow = _write(tmp_path / "slow.csv", "\n".join(lines) + "\n")
+        code = main(["check-rate", slow, str(DATA_DIR / "rate_check_c100.csv")])
+        assert code == InputDataError.exit_code
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert "slow.csv" in record["message"] and "'c_rate'" in record["message"]
+
+
 class TestCliSynth:
     def test_writes_deterministic_dataset(self, tmp_path):
         args = [
@@ -570,6 +795,24 @@ class TestCliReports:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "InputDataError"
         assert "features: missing key 'q_sei'" in err["message"]
+
+    @pytest.mark.parametrize(
+        "echo, message",
+        [
+            (["areal_basis_cm2"], "report config_echo: expected an object"),
+            ({"areal_basis_cm2": "big"}, "config_echo: bad value for 'areal_basis_cm2'"),
+        ],
+    )
+    def test_batch_command_malformed_config_echo_exits_2(
+        self, report_paths, tmp_path, capsys, echo, message
+    ):
+        obj = json.loads(Path(report_paths[0]).read_text())
+        obj["config_echo"] = echo
+        bad = _write(tmp_path / "bad.report.json", json.dumps(obj))
+        code = main(["batch", "--metrics", "q_sei", "--summary-out", str(tmp_path / "s.csv"), bad])
+        assert code == InputDataError.exit_code
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert message in err["message"]
 
     def test_batch_command_empty_metrics_exits_5(self, report_paths, tmp_path, capsys):
         code = main([
