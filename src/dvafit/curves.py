@@ -2,23 +2,25 @@
 
 Reference (half-cell) potential curves are stored against normalized
 stoichiometry on [0, 1]; full-cell data is stored against capacity.  All
-interpolation is monotone-preserving piecewise cubic (Fritsch-Carlson
-slope limiting, via scipy's PCHIP), so interpolated potentials never
-overshoot the node range and differential-voltage signals derived from
-them carry no spurious peaks.
+interpolation is monotone-preserving piecewise cubic Hermite (PCHIP:
+Fritsch-Butland node slopes, built here in numpy with the same rules and
+arithmetic as scipy's ``PchipInterpolator``), so interpolated potentials
+never overshoot the node range and differential-voltage signals derived
+from them carry no spurious peaks.  Smoothing and differentiation are
+Savitzky-Golay filters with polynomial fits at the edges, as scipy's
+``savgol_filter(mode="interp")``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.signal import savgol_filter
 
-from .errors import ConfigError, InfeasibilityError, InputDataError
+from .errors import ConfigError, InfeasibilityError, InputDataError, require_int
 
 # Potentials may poke past the declared acquisition window by at most this
 # much (cycler set-point overshoot); anything larger is rejected.
@@ -50,6 +52,8 @@ class SmoothingConfig:
     enabled: bool = True
 
     def __post_init__(self):
+        require_int(self.window_length, "window_length")
+        require_int(self.poly_order, "poly_order")
         if self.window_length % 2 == 0:
             raise ConfigError(f"window_length must be odd, got {self.window_length}")
         if self.window_length < self.poly_order + 2:
@@ -124,39 +128,84 @@ class ReferencePotentialCurve:
 
     @cached_property
     def _pieces(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        """Interior breakpoints, and per interval the rows U, U' and U''
-        are evaluated from: the left breakpoint, (c3, c2, c1, c0) of the
-        PCHIP cubic c3 + c2 t + c1 t^2 + c0 t^3 in t = s - left, then 2 c1,
-        3 c0 and 6 c0, the coefficients scipy's ``derivative()`` and
-        ``derivative(2)`` build."""
-        pchip = PchipInterpolator(self.stoich_grid, self.potential)
-        c = pchip.c
-        rows = (pchip.x[:-1], c[3], c[2], c[1], c[0], 2.0 * c[1], 3.0 * c[0], 6.0 * c[0])
-        return pchip.x[1:-1].copy(), tuple(np.ascontiguousarray(r) for r in rows)
+        return _pchip_pieces(self.stoich_grid, self.potential)
 
     def _evaluate(self, s, orders: tuple[int, ...]) -> list[np.ndarray]:
         """U (order 0), U' (1) and U'' (2) at stoichiometry ``s``, in the
-        order ``orders`` lists them.
+        order ``orders`` lists them.  ``s`` must already lie in [0, 1]:
+        there is no range check."""
+        return _evaluate_pieces(self._pieces, s, orders)
 
-        One interval search serves every term.  ``s`` must already lie in
-        [0, 1]: there is no range check.  The sums are grouped as scipy's
-        PPoly evaluation groups them, so the values equal the
-        PchipInterpolator's and its derivatives'.
-        """
-        interior, (left, c3, c2, c1, c0, d1, d0, e0) = self._pieces
-        # Interval i holds [x_i, x_i+1); s = 1 falls in the last one.
-        i = np.searchsorted(interior, s, side="right")
-        t = s - left[i]
-        t2 = t * t
-        terms = []
-        for order in orders:
-            if order == 0:
-                terms.append(((c3[i] + c2[i] * t) + c1[i] * t2) + c0[i] * (t2 * t))
-            elif order == 1:
-                terms.append((c2[i] + d1[i] * t) + d0[i] * t2)
-            else:
-                terms.append(d1[i] + e0[i] * t)
-        return terms
+
+def _pchip_end_slope(h0, h1, m0, m1):
+    """One-sided three-point slope at an end node, kept to the shape of the
+    data: zero if it disagrees in sign with the end secant, at most three
+    times that secant where the secants change sign."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_pieces(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The monotone cubic (PCHIP) interpolant through strictly increasing
+    ``x`` and ``y``: the interior breakpoints, and per interval the rows
+    U, U' and U'' are evaluated from.  Those are the left breakpoint,
+    (c3, c2, c1, c0) of the cubic c3 + c2 t + c1 t^2 + c0 t^3 in
+    t = x - left, then 2 c1, 3 c0 and 6 c0.
+
+    Node slopes are the weighted harmonic mean of the two adjacent secants
+    inside, zero where those differ in sign or one is flat, and
+    :func:`_pchip_end_slope` at the ends.  The slopes and the cubic Hermite
+    coefficients take the same operations in the same order as scipy's
+    ``PchipInterpolator``, so the pieces are bitwise its ``x`` and ``c``.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    d = np.empty_like(y)
+    if len(x) == 2:
+        d[:] = m[0]
+    else:
+        sign = np.sign(m)
+        flat = (sign[1:] != sign[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+        d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+        d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    c0 = t / h
+    c1 = (m - d[:-1]) / h - t
+    c2, c3 = d[:-1], y[:-1]
+    return x[1:-1].copy(), (x[:-1], c3, c2, c1, c0, 2.0 * c1, 3.0 * c0, 6.0 * c0)
+
+
+def _evaluate_pieces(pieces, s, orders: tuple[int, ...]) -> list[np.ndarray]:
+    """Orders 0, 1 and 2 of the :func:`_pchip_pieces` interpolant at ``s``,
+    in the order ``orders`` lists them.
+
+    One interval search serves every term; points outside the breakpoints
+    extend the end cubics.  The sums are grouped as scipy's PPoly evaluation
+    groups them, so the values equal the PchipInterpolator's and its
+    derivatives'.
+    """
+    interior, (left, c3, c2, c1, c0, d1, d0, e0) = pieces
+    # Interval i holds [x_i, x_i+1); the last breakpoint falls in the last one.
+    i = np.searchsorted(interior, s, side="right")
+    t = s - left[i]
+    t2 = t * t
+    terms = []
+    for order in orders:
+        if order == 0:
+            terms.append(((c3[i] + c2[i] * t) + c1[i] * t2) + c0[i] * (t2 * t))
+        elif order == 1:
+            terms.append((c2[i] + d1[i] * t) + d0[i] * t2)
+        else:
+            terms.append(d1[i] + e0[i] * t)
+    return terms
 
 
 @dataclass(frozen=True)
@@ -309,33 +358,57 @@ def _check_spacing(q: np.ndarray):
         )
 
 
-def savgol_smooth_array(v: np.ndarray, cfg: SmoothingConfig) -> np.ndarray:
-    """SG smoothing on a uniform grid; endpoints use one-sided window fits."""
-    if not cfg.enabled:
-        return np.asarray(v, dtype=float)
+def _savgol(v: np.ndarray, window: int, order: int, deriv: int, delta: float) -> np.ndarray:
+    """Savitzky-Golay filter of a uniform series with spacing ``delta``:
+    the ``deriv``-th derivative of the degree-``order`` polynomial fitted
+    by least squares to each ``window`` samples, as scipy's
+    ``savgol_filter(mode="interp")`` computes it.
+
+    Interior points take the centred window.  The first and last
+    ``window // 2`` points take the polynomial fitted to the first or last
+    ``window`` samples, so the output keeps the input's length and
+    alignment.  A derivative above the polynomial degree is zero.
+    """
+    if deriv > order:
+        return np.zeros_like(v)
+    half = window // 2
+    # Offsets from the centre in descending order, as scipy's savgol_coeffs
+    # lays them out for a convolution; the least-squares weights then come
+    # out bitwise equal to scipy's.
+    offsets = np.arange(half, half - window, -1, dtype=float)
+    target = np.zeros(order + 1)
+    target[deriv] = math.factorial(deriv) / delta**deriv
+    weights = np.linalg.lstsq(offsets ** np.arange(order + 1)[:, None], target, rcond=None)[0]
+    out = np.empty_like(v)
+    out[half : len(v) - half] = np.convolve(v, weights, mode="valid")
+    steps = np.arange(window)
+    for start, rows in ((0, steps[:half]), (len(v) - window, steps[window - half :])):
+        poly = np.polyfit(steps, v[start : start + window], order)
+        out[start + rows] = np.polyval(np.polyder(poly, deriv), rows) / delta**deriv
+    return out
+
+
+def _check_window(v: np.ndarray, cfg: SmoothingConfig) -> None:
     if cfg.window_length > len(v):
         raise ConfigError(
             f"smoothing window {cfg.window_length} longer than series ({len(v)} samples)"
         )
-    # mode="interp" fits the window polynomial one-sidedly at the edges,
-    # preserving series length and alignment.
-    return savgol_filter(np.asarray(v, dtype=float), cfg.window_length, cfg.poly_order, mode="interp")
+
+
+def savgol_smooth_array(v: np.ndarray, cfg: SmoothingConfig) -> np.ndarray:
+    """SG smoothing on a uniform grid; endpoints use one-sided window fits."""
+    v = np.asarray(v, dtype=float)
+    if not cfg.enabled:
+        return v
+    _check_window(v, cfg)
+    return _savgol(v, cfg.window_length, cfg.poly_order, 0, 1.0)
 
 
 def savgol_derivative_array(v: np.ndarray, delta: float, cfg: SmoothingConfig) -> np.ndarray:
     """SG first derivative on a uniform grid with spacing ``delta``."""
-    if cfg.window_length > len(v):
-        raise ConfigError(
-            f"smoothing window {cfg.window_length} longer than series ({len(v)} samples)"
-        )
-    return savgol_filter(
-        np.asarray(v, dtype=float),
-        cfg.window_length,
-        cfg.poly_order,
-        deriv=1,
-        delta=delta,
-        mode="interp",
-    )
+    v = np.asarray(v, dtype=float)
+    _check_window(v, cfg)
+    return _savgol(v, cfg.window_length, cfg.poly_order, 1, delta)
 
 
 def smooth(series: CapacityVoltageSeries, cfg: SmoothingConfig) -> CapacityVoltageSeries:
@@ -365,7 +438,7 @@ def resample(series: CapacityVoltageSeries, n: int) -> CapacityVoltageSeries:
     if n < 16:
         raise ConfigError(f"resample count must be >= 16, got {n}")
     grid = np.linspace(series.q[0], series.q[-1], n)
-    v = PchipInterpolator(series.q, series.v)(grid)
+    (v,) = _evaluate_pieces(_pchip_pieces(series.q, series.v), grid, (0,))
     return replace(series, q=grid, v=v)
 
 

@@ -30,7 +30,6 @@ import typing
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from ._version import __version__
 from .curves import (
@@ -39,7 +38,7 @@ from .curves import (
     SmoothingConfig,
     build_reference_curve,
 )
-from .errors import ConfigError, InputDataError
+from .errors import ConfigError, InputDataError, require_int
 from .features import DesignParams, FeatureSet
 from .fitting import FitConfig, FitResult, ParameterBounds, StartRecord
 from .model import ElectrodeParams
@@ -213,7 +212,9 @@ def parse_full_cell(path) -> CapacityVoltageSeries:
                 raise InputDataError(
                     f"{path}:{rows[bad + 1][0]}: time must be strictly increasing"
                 )
-            q = cumulative_trapezoid(np.abs(current), t, initial=0.0) / 3600.0
+            a = np.abs(current)
+            charge = np.cumsum(np.diff(t) * (a[1:] + a[:-1]) / 2.0)
+            q = np.concatenate(([0.0], charge)) / 3600.0
         else:
             raise InputDataError(
                 f"{path}:{header_lineno}: unrecognized header {header!r}; expected "
@@ -318,9 +319,13 @@ def _config_object(value, where: str) -> dict:
 
 def _config_number(value, cast, where: str):
     try:
-        return cast(value)
+        number = cast(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where}: expected a number, got {value!r}") from None
+    if cast is int:
+        # int() would read 2.7 as 2, true as 1 and "16" as 16.
+        require_int(value, where)
+    return number
 
 
 def _bound_pair(value, where: str) -> tuple[float, float]:
@@ -555,8 +560,13 @@ def parse_report(text: str) -> Report:
 
 
 def read_report(path) -> Report:
+    """Read a report file; the error for a malformed one names the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_report(fh.read())
+        text = fh.read()
+    try:
+        return parse_report(text)
+    except InputDataError as exc:
+        raise InputDataError(f"{path}: {exc}") from None
 
 
 def write_report(report: Report, path) -> None:

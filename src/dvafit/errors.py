@@ -4,6 +4,8 @@ Each class maps to one CLI exit code so that scripted pipelines can branch
 on failure category without parsing messages.
 """
 
+import numbers
+
 
 class DvafitError(Exception):
     """Base class for all toolkit errors."""
@@ -42,3 +44,12 @@ class ConfigError(DvafitError):
     """Invalid configuration values (weights, windows, bounds, paths)."""
 
     exit_code = 5
+
+
+def require_int(value, key: str) -> None:
+    """Reject a setting that is not an integer; ``key`` names it in the error.
+
+    A bool is not accepted, and neither is a float, even an integral one:
+    no value is coerced."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{key}: expected an integer, got {value!r}")

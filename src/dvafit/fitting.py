@@ -25,7 +25,6 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.stats import qmc
 
 from .curves import (
     CapacityVoltageSeries,
@@ -35,7 +34,7 @@ from .curves import (
     resample,
     validate_full_cell,
 )
-from .errors import ConfigError
+from .errors import ConfigError, require_int
 from .model import ElectrodeParams, evaluate, jacobian, param_vector
 
 # Penalty residual per unit of stoichiometry excursion beyond [0, 1],
@@ -122,12 +121,16 @@ class FitConfig:
     smoothing: SmoothingConfig = field(default_factory=SmoothingConfig)
 
     def __post_init__(self):
+        for name in ("resample_points", "starts", "seed", "max_iterations"):
+            require_int(getattr(self, name), name)
         if not 0.0 <= self.lam <= 1.0:
             raise ConfigError(f"lam must be in [0, 1], got {self.lam}")
         if self.resample_points < 16:
             raise ConfigError(f"resample_points must be >= 16, got {self.resample_points}")
         if self.starts < 1:
             raise ConfigError(f"starts must be >= 1, got {self.starts}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.max_iterations < 1:
             raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.tol_step <= 0 or self.tol_objective <= 0:
@@ -349,6 +352,20 @@ def _solve(starts, lo, hi, x_scale, prob, u_pos, u_neg, cfg) -> _Solution:
     return _Solution(x_out, obj_out, status_out, nfev_out)
 
 
+def _latin_hypercube(n: int, lo: np.ndarray, hi: np.ndarray, seed: int) -> np.ndarray:
+    """``n`` points in the box [lo, hi], one in each of ``n`` equal slices
+    of every axis, placed at random within their cells.  It draws from
+    ``default_rng(seed)`` in the order scipy's
+    ``qmc.LatinHypercube(d, seed=seed).random(n)`` does, and scales as
+    ``qmc.scale`` does, so the points are bitwise scipy's."""
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(size=(n, len(lo)))
+    perms = np.tile(np.arange(1, n + 1), (len(lo), 1))
+    for row in perms:
+        rng.shuffle(row)
+    return ((perms.T - u) / n) * (hi - lo) + lo
+
+
 def fit(
     measured: CapacityVoltageSeries,
     u_pos: ReferencePotentialCurve,
@@ -368,8 +385,7 @@ def fit(
     bounds = cfg.bounds if cfg.bounds is not None else ParameterBounds.default(prob.q_full)
     lo, hi = bounds.lower(), bounds.upper()
 
-    sampler = qmc.LatinHypercube(d=4, seed=cfg.seed)
-    starts = qmc.scale(sampler.random(n=cfg.starts), lo, hi)
+    starts = _latin_hypercube(cfg.starts, lo, hi, cfg.seed)
     x_scale = np.array([prob.q_full, prob.q_full, 0.1, 0.1])
     sol = _solve(starts, lo, hi, x_scale, prob, u_pos, u_neg, cfg)
 

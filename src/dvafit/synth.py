@@ -10,10 +10,10 @@ is deterministic under the caller's seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import bisect, brentq
 
 from .curves import (
     CapacityVoltageSeries,
@@ -32,6 +32,10 @@ ANCHOR_SOLVE_TOL = 1e-10
 # Largest acceptable gap between a spec's v_min and the voltage the
 # model actually produces in the discharged state.
 V_MIN_CONSISTENCY_TOL = 1e-6
+# Relative tolerance and iteration cap of the root solves: scipy.optimize's
+# defaults, which the ports below keep so their roots are bitwise scipy's.
+ROOT_RTOL = 4 * np.finfo(float).eps
+ROOT_MAXITER = 100
 
 
 @dataclass(frozen=True)
@@ -149,6 +153,86 @@ def _max_feasible_capacity(theta: ElectrodeParams) -> float:
     )
 
 
+def _bisect(f, a: float, b: float, xtol: float) -> float:
+    """Root of ``f`` on [a, b] by bisection; ``f(a)`` and ``f(b)`` must
+    not share a sign.  The loop of scipy.optimize.bisect, step for step."""
+    fa, fb = f(a), f(b)
+    if fa == 0:
+        return a
+    if fb == 0:
+        return b
+    # Signs are compared, not multiplied: a product of tiny values
+    # underflows to zero.
+    if (fa < 0) == (fb < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    dm = b - a
+    for _ in range(ROOT_MAXITER):
+        dm *= 0.5
+        xm = a + dm
+        fm = f(xm)
+        if (fm < 0) == (fa < 0):
+            a = xm
+        if fm == 0 or abs(dm) < xtol + ROOT_RTOL * abs(xm):
+            return xm
+    raise RuntimeError(f"bisection did not converge in {ROOT_MAXITER} iterations")
+
+
+def _brentq(f, a: float, b: float, xtol: float) -> float:
+    """Root of ``f`` on [a, b] by Brent's method (inverse quadratic
+    interpolation, secant and bisection steps); ``f(a)`` and ``f(b)`` must
+    not share a sign.  The loop of scipy.optimize.brentq, step for step."""
+    xpre, xcur = a, b
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(ROOT_MAXITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + ROOT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                # In C the step comes out inf or nan, and the test below
+                # then takes the bisection step.
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise RuntimeError(f"Brent's method did not converge in {ROOT_MAXITER} iterations")
+
+
 def _solve_q_at_voltage(
     theta: ElectrodeParams,
     u_pos: ReferencePotentialCurve,
@@ -174,7 +258,7 @@ def _solve_q_at_voltage(
             f"target voltage {v_target} V exceeds the model maximum "
             f"{voltage_error(q_hi) + v_target:.4f} V at the feasibility boundary"
         )
-    return float(bisect(voltage_error, 0.0, q_hi, xtol=Q_SOLVE_TOL_AH))
+    return float(_bisect(voltage_error, 0.0, q_hi, Q_SOLVE_TOL_AH))
 
 
 def generate(
@@ -254,7 +338,7 @@ def degrade(
         raise InfeasibilityError(
             f"no discharged state on the aged curves reaches v_min = {v_min} V"
         )
-    x0_aged = float(brentq(anchor_error, x_lo, x_hi, xtol=ANCHOR_SOLVE_TOL))
+    x0_aged = float(_brentq(anchor_error, x_lo, x_hi, ANCHOR_SOLVE_TOL))
     y0_aged = float(y0_of(x0_aged))
 
     provisional = ElectrodeParams(

@@ -136,6 +136,24 @@ class TestSmoothingConfig:
         with pytest.raises(ConfigError, match="poly_order"):
             SmoothingConfig(window_length=3, poly_order=3)
 
+    @pytest.mark.parametrize(
+        "kwargs, key",
+        [
+            ({"window_length": 25.5}, "window_length"),
+            ({"window_length": 25.0}, "window_length"),
+            ({"window_length": True}, "window_length"),
+            ({"poly_order": 3.0}, "poly_order"),
+            ({"poly_order": False}, "poly_order"),
+        ],
+    )
+    def test_rejects_non_integers(self, kwargs, key):
+        with pytest.raises(ConfigError, match=f"{key}: expected an integer"):
+            SmoothingConfig(**kwargs)
+
+    def test_accepts_numpy_integers(self):
+        cfg = SmoothingConfig(window_length=np.int64(11), poly_order=np.int32(2))
+        assert cfg.window_length == 11 and cfg.poly_order == 2
+
 
 # ---------------------------------------------------------------------------
 # build_reference_curve

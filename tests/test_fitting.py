@@ -61,6 +61,16 @@ class TestConfigs:
         with pytest.raises(ConfigError, match="x0"):
             ParameterBounds(qn=(1.0, 2.0), qp=(1.0, 2.0), x0=(0.0, 1.0), y0=(0.9, 1.0))
 
+    @pytest.mark.parametrize("key", ["resample_points", "starts", "seed", "max_iterations"])
+    @pytest.mark.parametrize("value", [2.7, 16.0, True, "16"])
+    def test_integer_settings_reject_non_integers(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key}: expected an integer"):
+            FitConfig(**{key: value})
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            FitConfig(seed=-1)
+
     def test_default_bounds_scale_with_capacity(self):
         b = ParameterBounds.default(2.3)
         assert b.qn == (2.3, 11.5) and b.qp == (2.3, 11.5)

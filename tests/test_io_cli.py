@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -356,6 +359,17 @@ class TestLoadConfig:
              r"design\.negative\.loading_mg_cm2: expected a number, got 'heavy'"),
             ("design", ["positive"], r"design: expected an object"),
             ("output_dir", 7, r"output_dir: expected a path"),
+            # Integer settings take integral JSON numbers only, never a bool.
+            ("fit.starts", 2.7, r"fit\.starts: expected an integer, got 2\.7"),
+            ("fit.resample_points", 500.0, r"fit\.resample_points: expected an integer, got 500\.0"),
+            ("fit.seed", True, r"fit\.seed: expected an integer, got True"),
+            ("fit.max_iterations", "500", r"fit\.max_iterations: expected an integer, got '500'"),
+            ("fit.smoothing", {"window_length": 25.5}, r"window_length: expected an integer, got 25\.5"),
+            ("fit.smoothing", {"poly_order": 3.0}, r"poly_order: expected an integer, got 3\.0"),
+            ("fit.smoothing", {"window_length": True}, r"window_length: expected an integer, got True"),
+            ("design.negative", dict(DESIGN, n_faces=28.5),
+             r"design\.negative\.n_faces: expected an integer, got 28\.5"),
+            ("fit.seed", -1, r"seed must be >= 0, got -1"),
         ],
     )
     def test_malformed_value_rejected_naming_key(self, tmp_path, key, value, match):
@@ -696,6 +710,22 @@ class TestCliBadValues:
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["error"] == "ConfigError" and "fit.starts" in record["message"]
 
+    def test_fractional_smoothing_window_exits_5(self, tmp_path, capsys):
+        cfg_obj = json.loads((DATA_DIR / "config.json").read_text())
+        cfg_obj["reference_curves"] = {
+            "positive": str(DATA_DIR / "u_pos.csv"),
+            "negative": str(DATA_DIR / "u_neg.csv"),
+        }
+        cfg_obj["fit"]["smoothing"] = {"window_length": 25.5}
+        cfg = _write(tmp_path / "c.json", json.dumps(cfg_obj))
+        cell = str(DATA_DIR / "example_cell.csv")
+        code = main(["fit", "--config", cfg, "--out-dir", str(tmp_path), cell])
+        assert code == ConfigError.exit_code
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        record = json.loads(err[0])
+        assert record["error"] == "ConfigError" and "window_length" in record["message"]
+
     def test_non_numeric_metadata_exits_2(self, tmp_path, capsys):
         text = (DATA_DIR / "rate_check_c20.csv").read_text()
         assert "# c_rate = " in text
@@ -795,6 +825,27 @@ class TestCliReports:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "InputDataError"
         assert "features: missing key 'q_sei'" in err["message"]
+
+    @pytest.mark.parametrize("command", ["features", "batch", "correct", "smooth"])
+    def test_bad_report_error_names_the_file(self, report_paths, tmp_path, capsys, command):
+        obj = json.loads(Path(report_paths[0]).read_text())
+        del obj["features"]["q_sei"]
+        bad = _write(tmp_path / "bad.report.json", json.dumps(obj))
+        cell = str(DATA_DIR / "example_cell.csv")
+        argv = {
+            "features": ["features", report_paths[1], bad],
+            "batch": ["batch", "--metrics", "q_sei", "--summary-out", str(tmp_path / "s.csv"),
+                      report_paths[1], bad],
+            "correct": ["correct", "--report", bad, "--x-window", "0,1", "--y-window", "0,1"],
+            "smooth": ["smooth", cell, "--out", str(tmp_path / "s.csv"),
+                       "--report", bad, "--config", CONFIG],
+        }[command]
+        assert main(argv) == InputDataError.exit_code
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        record = json.loads(err[0])
+        assert record["message"].startswith(f"{bad}: report features: missing key 'q_sei'")
+        assert report_paths[1] not in record["message"]
 
     @pytest.mark.parametrize(
         "echo, message",
@@ -906,3 +957,25 @@ class TestCliCheckRate:
         assert json.loads(captured.out)["passed"] is False
         err = json.loads(captured.err.strip().splitlines()[-1])
         assert err["exit_code"] == 1 and "near-equilibrium" in err["message"]
+
+
+class TestRuntimeImports:
+    def test_import_and_features_load_no_scipy(self, tmp_path):
+        # scipy is a test dependency only; importing any of it at run time
+        # would put its start-up cost back on every CLI call.
+        report = tmp_path / "r.json"
+        dataio.write_report(_make_report(), report)
+        code = (
+            "import json, sys\n"
+            "import dvafit\n"
+            "from dvafit.cli import main\n"
+            f"rc = main(['features', {str(report)!r}])\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+            "print(json.dumps({'rc': rc, 'scipy': loaded}))\n"
+        )
+        src = str(DATA_DIR.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120, check=True)
+        assert json.loads(done.stdout.strip().splitlines()[-1]) == {"rc": 0, "scipy": []}
