@@ -54,6 +54,9 @@ class SmoothingConfig:
     def __post_init__(self):
         require_int(self.window_length, "window_length")
         require_int(self.poly_order, "poly_order")
+        if not isinstance(self.enabled, bool):
+            # "false" or 0 would read as a truth value and leave smoothing on.
+            raise ConfigError(f"enabled: expected true or false, got {self.enabled!r}")
         if self.window_length % 2 == 0:
             raise ConfigError(f"window_length must be odd, got {self.window_length}")
         if self.window_length < self.poly_order + 2:

@@ -1,8 +1,13 @@
 """File formats: measurement CSVs, toolkit configuration, and reports.
 
-CSV files carry '#'-prefixed ``key = value`` metadata lines, one header
-row naming the columns, then numeric rows.  Reports and configuration
-are JSON.  Report serialization is canonical (sorted keys, floats at 17
+CSV files carry '#'-prefixed ``key = value`` metadata lines (anywhere in
+the file), one header row naming the columns, then rows of
+comma-separated values in Python ``float()`` syntax; blank lines are
+skipped.  The reader converts all data rows with one ``np.loadtxt``
+call; whenever that call cannot vouch for the file, a row loop that
+reads to the same bits reads it instead and names the line of any
+error.  CSVs and reports must be UTF-8.  Reports and configuration are
+JSON.  Report serialization is canonical (sorted keys, floats at 17
 significant digits), so serialize -> parse -> serialize is
 byte-identical and reports diff cleanly under version control.
 
@@ -27,6 +32,7 @@ import json
 import math
 import os
 import typing
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,31 +143,80 @@ def sha256_of(path) -> str:
 # CSV parsing
 
 
-def _read_csv_sections(path):
-    """Split a data file into (metadata dict, header, rows, header_lineno)."""
+class _CsvFile(typing.NamedTuple):
+    meta: dict
+    header: str
+    header_lineno: int
+    data: np.ndarray | None  # every data row, read by one np.loadtxt call
+    rows: list | None = None  # (lineno, line) per data row, read by the row loop
+
+
+def _read_sections(fh, path, rows=None):
+    """Read metadata lines and the header line from ``fh``.
+
+    Returns (metadata dict, header, header_lineno).  Without ``rows`` the
+    read stops after the header line; with a list, it goes on to the end
+    of the file and appends every data row to it as (lineno, line).
+    """
     meta = {}
     header = None
-    rows = []
     header_lineno = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    meta[key.strip()] = value.strip()
-                continue
-            if header is None:
-                header = line.replace(" ", "")
-                header_lineno = lineno
-                continue
-            rows.append((lineno, line))
+    for lineno, raw in enumerate(fh, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line.lstrip("#").strip()
+            if "=" in body:
+                key, _, value = body.partition("=")
+                meta[key.strip()] = value.strip()
+            continue
+        if header is None:
+            header = line.replace(" ", "")
+            header_lineno = lineno
+            if rows is None:
+                break
+            continue
+        rows.append((lineno, line))
     if header is None:
         raise InputDataError(f"{path}: no header row found")
-    return meta, header, rows, header_lineno
+    return meta, header, header_lineno
+
+
+def _read_csv_loop(path) -> _CsvFile:
+    """The whole file read line by line: the reference reader, which also
+    finds the line behind any error."""
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        meta, header, header_lineno = _read_sections(fh, path, rows)
+    return _CsvFile(meta, header, header_lineno, None, rows)
+
+
+def _read_csv(path) -> _CsvFile:
+    """Read a data file: metadata and header line by line, then every data
+    row in one ``np.loadtxt`` call on the same handle.
+
+    ``loadtxt`` reads a subset of what the row loop reads (no ``#`` lines
+    after the header, no whitespace-only lines, no ``1_000``), and reads
+    it to the same bits, since both parse each value with CPython's
+    ``PyOS_string_to_double``.  When it raises, or warns (as it does on a
+    file with no data rows), the row loop reads the file instead;
+    :func:`_csv_rows` also turns to the loop for data of the wrong shape
+    or a time axis that does not rise.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            meta, header, header_lineno = _read_sections(fh, path)
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+                return _CsvFile(meta, header, header_lineno, data)
+            except (ValueError, Warning):
+                pass
+        return _read_csv_loop(path)
+    except UnicodeDecodeError as exc:
+        raise InputDataError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _meta_float(path, key: str, text: str) -> float:
@@ -188,6 +243,27 @@ def _parse_numeric_rows(path, rows, n_cols):
     return out
 
 
+def _csv_rows(path, csv: _CsvFile, n_cols: int, increasing: bool = False) -> np.ndarray:
+    """The data rows of ``csv`` as an (n, n_cols) array; with ``increasing``
+    the first column must rise strictly.  Data that ``loadtxt`` read is
+    used as it is when it passes; otherwise the row loop parses the file
+    and raises its ``path:lineno`` errors."""
+    data = csv.data
+    if (
+        data is not None
+        and data.shape[1] == n_cols
+        and len(data) > 0
+        and not (increasing and np.any(np.diff(data[:, 0]) <= 0))
+    ):
+        return data
+    rows = csv.rows if csv.rows is not None else _read_csv_loop(path).rows
+    data = _parse_numeric_rows(path, rows, n_cols)
+    if increasing and np.any(np.diff(data[:, 0]) <= 0):
+        bad = int(np.argmax(np.diff(data[:, 0]) <= 0))
+        raise InputDataError(f"{path}:{rows[bad + 1][0]}: time must be strictly increasing")
+    return data
+
+
 def parse_full_cell(path) -> CapacityVoltageSeries:
     """Read a measured full-cell file.
 
@@ -195,29 +271,25 @@ def parse_full_cell(path) -> CapacityVoltageSeries:
     schema ``time_s,current_a,voltage_v``, in which case capacity is
     reconstructed by trapezoidal integration of current over time.
     """
-    meta, header, rows, header_lineno = _read_csv_sections(path)
+    csv = _read_csv(path)
+    meta, header = csv.meta, csv.header
     direction = meta.get("direction", "charge")
     c_rate = _meta_float(path, "c_rate", meta.get("c_rate", "0"))
     label = meta.get("temperature_label", "")
     q_unit = meta.get("q_unit", "Ah")
     try:
         if header == FULL_CELL_HEADER:
-            data = _parse_numeric_rows(path, rows, 2)
+            data = _csv_rows(path, csv, 2)
             q, v = data[:, 0], data[:, 1]
         elif header == FULL_CELL_TIME_HEADER:
-            data = _parse_numeric_rows(path, rows, 3)
+            data = _csv_rows(path, csv, 3, increasing=True)
             t, current, v = data[:, 0], data[:, 1], data[:, 2]
-            if np.any(np.diff(t) <= 0):
-                bad = int(np.argmax(np.diff(t) <= 0))
-                raise InputDataError(
-                    f"{path}:{rows[bad + 1][0]}: time must be strictly increasing"
-                )
             a = np.abs(current)
             charge = np.cumsum(np.diff(t) * (a[1:] + a[:-1]) / 2.0)
             q = np.concatenate(([0.0], charge)) / 3600.0
         else:
             raise InputDataError(
-                f"{path}:{header_lineno}: unrecognized header {header!r}; expected "
+                f"{path}:{csv.header_lineno}: unrecognized header {header!r}; expected "
                 f"{FULL_CELL_HEADER!r} or {FULL_CELL_TIME_HEADER!r}"
             )
         return CapacityVoltageSeries(
@@ -248,16 +320,18 @@ def write_full_cell(series: CapacityVoltageSeries, path) -> None:
 
 def parse_reference_curve(path) -> ReferencePotentialCurve:
     """Read a half-cell file; normalization and repair rules apply."""
-    meta, header, rows, header_lineno = _read_csv_sections(path)
-    if header != REFERENCE_HEADER:
+    csv = _read_csv(path)
+    meta = csv.meta
+    if csv.header != REFERENCE_HEADER:
         raise InputDataError(
-            f"{path}:{header_lineno}: unrecognized header {header!r}; expected {REFERENCE_HEADER!r}"
+            f"{path}:{csv.header_lineno}: unrecognized header {csv.header!r}; "
+            f"expected {REFERENCE_HEADER!r}"
         )
     for key in ("electrode_role", "direction"):
         if key not in meta:
             raise InputDataError(f"{path}: missing required metadata line '# {key} = ...'")
     c_rate = _meta_float(path, "c_rate", meta.get("c_rate", "0"))
-    data = _parse_numeric_rows(path, rows, 2)
+    data = _csv_rows(path, csv, 2)
     cap, pot = data[:, 0], data[:, 1]
     if "v_min" in meta and "v_max" in meta:
         window = tuple(_meta_float(path, key, meta[key]) for key in ("v_min", "v_max"))
@@ -561,8 +635,11 @@ def parse_report(text: str) -> Report:
 
 def read_report(path) -> Report:
     """Read a report file; the error for a malformed one names the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputDataError(f"{path}: not UTF-8 text ({exc.reason})") from None
     try:
         return parse_report(text)
     except InputDataError as exc:

@@ -150,6 +150,11 @@ class TestSmoothingConfig:
         with pytest.raises(ConfigError, match=f"{key}: expected an integer"):
             SmoothingConfig(**kwargs)
 
+    @pytest.mark.parametrize("enabled", ["false", "true", 0, 1, None, np.False_])
+    def test_enabled_takes_only_a_bool(self, enabled):
+        with pytest.raises(ConfigError, match="enabled: expected true or false"):
+            SmoothingConfig(enabled=enabled)
+
     def test_accepts_numpy_integers(self):
         cfg = SmoothingConfig(window_length=np.int64(11), poly_order=np.int32(2))
         assert cfg.window_length == 11 and cfg.poly_order == 2

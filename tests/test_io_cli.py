@@ -5,12 +5,13 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dvafit import dataio
@@ -256,6 +257,185 @@ class TestReferenceCurveIo:
             dataio.parse_reference_curve(path)
 
 
+def _read_rows(read, path, n_cols, increasing):
+    """What one reader makes of a file: (metadata, header, header line, data
+    shape, data bytes), or the message of the InputDataError it raises."""
+    try:
+        csv = read(path)
+        data = dataio._csv_rows(path, csv, n_cols, increasing)
+    except InputDataError as exc:
+        return str(exc)
+    return csv.meta, csv.header, csv.header_lineno, data.shape, data.tobytes()
+
+
+# Values in the syntaxes a cycler export might use, plus text that only one
+# of float() and np.loadtxt might read.
+_VALUES = st.one_of(
+    st.floats().map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from([
+        "1_000", "1e400", "-1e400", "1e-400", "-nan", "+inf", "Infinity", "NaN", ".5", "5.",
+        "-0", "0x10", "1d5", "1e5j", "\u0661", "\ufeff1", "1.0#x", "", '"1"', "1 2", "1\x00",
+    ]),
+)
+_PADS = st.sampled_from(["", " ", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028", "\u3000"])
+_ROWS = st.lists(st.tuples(_PADS, _VALUES, _PADS).map("".join), min_size=1, max_size=4).map(",".join)
+_OTHER_LINES = st.one_of(
+    st.sampled_from([
+        "", "   ", "\t", "\x0c", "\u2028", "#", "#=", "# c_rate = 0.5", " # direction = charge",
+        "# electrode_role = negative", "capacity_ah,voltage_v",
+    ]),
+    st.text(alphabet="0123456789.,-+eE_#= \t\x0c\x00nafi\u2028\u0661", max_size=8),
+)
+_HEADERS = st.sampled_from([
+    dataio.FULL_CELL_HEADER, dataio.FULL_CELL_TIME_HEADER, dataio.REFERENCE_HEADER,
+    " time_s, current_a, voltage_v", "",
+])
+
+
+@st.composite
+def _csv_texts(draw):
+    """A data file: metadata, a header, then rows that are either clean (an
+    increasing first column, so the whole file can parse) or drawn from the
+    adversarial pieces above, joined by mixed line ends."""
+    lines = draw(st.lists(st.sampled_from(["# direction = charge", "# c_rate = 0.05", ""]), max_size=3))
+    lines.append(draw(_HEADERS))
+    width = draw(st.sampled_from([2, 3]))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    noise = draw(st.sampled_from([0, 1, 5]))  # adversarial rows per ten
+    for i in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 9)) >= noise:
+            lines.append(",".join([repr(float(i))] + [repr(draw(finite)) for _ in range(width - 1)]))
+        else:
+            lines.append(draw(st.one_of(_ROWS, _OTHER_LINES)))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+class TestCsvReader:
+    """The reader converts all data rows with one np.loadtxt call and falls
+    back to the row loop (``_read_csv_loop``) when it cannot vouch for the
+    file; the loop is the reference it must match."""
+
+    # Each expectation is what the row-loop reader returned for the file.
+    NAMED = {
+        "underscore": (
+            "capacity_ah,voltage_v\n0.0,3.0\n1_000,3.5\n", 2, False,
+            ({}, "capacity_ah,voltage_v", 1, [[0.0, 3.0], [1000.0, 3.5]]),
+        ),
+        "form_feed_in_row": (
+            "capacity_ah,voltage_v\n0.0,3.0\n0.5,\x0c3.5\n1.0\x0c,4.0\n", 2, False,
+            ({}, "capacity_ah,voltage_v", 1, [[0.0, 3.0], [0.5, 3.5], [1.0, 4.0]]),
+        ),
+        "cr_line_ends": (
+            "# c_rate = 0.05\rtime_s,current_a,voltage_v\r0.0,1.0,3.0\r10.0,1.0,3.1\r", 3, True,
+            ({"c_rate": "0.05"}, "time_s,current_a,voltage_v", 2, [[0.0, 1.0, 3.0], [10.0, 1.0, 3.1]]),
+        ),
+        "crlf_line_ends": (
+            "# c_rate = 0.05\r\ntime_s,current_a,voltage_v\r\n0.0,1.0,3.0\r\n10.0,1.0,3.1\r\n", 3, True,
+            ({"c_rate": "0.05"}, "time_s,current_a,voltage_v", 2, [[0.0, 1.0, 3.0], [10.0, 1.0, 3.1]]),
+        ),
+        "blank_line": (
+            "capacity_ah,voltage_v\n0.0,3.0\n\n0.5,3.5\n", 2, False,
+            ({}, "capacity_ah,voltage_v", 1, [[0.0, 3.0], [0.5, 3.5]]),
+        ),
+        "whitespace_line": (
+            "capacity_ah,voltage_v\n0.0,3.0\n \t\x0c\n0.5,3.5\n", 2, False,
+            ({}, "capacity_ah,voltage_v", 1, [[0.0, 3.0], [0.5, 3.5]]),
+        ),
+        "metadata_after_header": (
+            "# direction = lithiation\ncapacity_mah,potential_v\n# electrode_role = negative\n"
+            "0,1.0\n1,0.8\n", 2, False,
+            ({"direction": "lithiation", "electrode_role": "negative"}, "capacity_mah,potential_v", 2,
+             [[0.0, 1.0], [1.0, 0.8]]),
+        ),
+        "inline_hash": (
+            "capacity_ah,voltage_v\n0.0,3.0\n0.5,1.0#x\n", 2, False,
+            "{path}:3: could not convert string to float: '1.0#x'",
+        ),
+        "trailing_comma": (
+            "capacity_ah,voltage_v\n0.0,3.0\n0.5,3.5,\n", 2, False,
+            "{path}:3: expected 2 comma-separated values, got 3",
+        ),
+        "empty_field": (
+            "capacity_ah,voltage_v\n0.0,3.0\n,3.5\n", 2, False,
+            "{path}:3: could not convert string to float: ''",
+        ),
+        "nan_inf_overflow": (
+            "capacity_ah,voltage_v\n0.0,nan\n0.5,inf\n1.0,1e400\n", 2, False,
+            ({}, "capacity_ah,voltage_v", 1, [[0.0, np.nan], [0.5, np.inf], [1.0, np.inf]]),
+        ),
+        "header_only": ("capacity_ah,voltage_v\n", 2, False, "{path}: no data rows"),
+        "header_and_blank_lines": ("capacity_ah,voltage_v\n\n\n", 2, False, "{path}: no data rows"),
+        "time_repeat_after_blank": (
+            "time_s,current_a,voltage_v\n0.0,1.0,3.0\n\n10.0,1.0,3.1\n\n10.0,1.0,3.2\n", 3, True,
+            "{path}:6: time must be strictly increasing",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", NAMED)
+    def test_named_case_reads_as_the_row_loop_did(self, tmp_path, name):
+        text, n_cols, increasing, expected = self.NAMED[name]
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(text.encode("utf-8"))
+        if isinstance(expected, str):
+            expected = expected.format(path=path)
+        else:
+            meta, header, header_lineno, rows = expected
+            data = np.array(rows, dtype=float)
+            expected = (meta, header, header_lineno, data.shape, data.tobytes())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert _read_rows(dataio._read_csv, path, n_cols, increasing) == expected
+        assert caught == []
+        assert _read_rows(dataio._read_csv_loop, path, n_cols, increasing) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_csv_texts(), n_cols=st.sampled_from([2, 3]), increasing=st.booleans())
+    def test_reads_like_the_row_loop(self, tmp_path_factory, text, n_cols, increasing):
+        path = tmp_path_factory.mktemp("csv") / "f.csv"
+        path.write_bytes(text.encode("utf-8"))
+        fast = _read_rows(dataio._read_csv, path, n_cols, increasing)
+        assert fast == _read_rows(dataio._read_csv_loop, path, n_cols, increasing)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["example_cell.csv", "rate_check_c20.csv", "rate_check_c100.csv", "u_pos.csv", "u_neg.csv", "log"],
+    )
+    def test_clean_file_takes_one_loadtxt_call(self, tmp_path, monkeypatch, name):
+        path = DATA_DIR / name
+        n_cols, increasing = 2, False
+        if name == "log":  # the cycler schema, whose time axis is checked too
+            t = np.linspace(0.0, 3600.0, 50)
+            path, n_cols, increasing = tmp_path / "log.csv", 3, True
+            np.savetxt(path, np.column_stack([t, np.full_like(t, 1.5), t / 1000.0]), fmt="%.17g",
+                       delimiter=",", comments="", header=dataio.FULL_CELL_TIME_HEADER)
+        want = _read_rows(dataio._read_csv_loop, path, n_cols, increasing)
+
+        def no_loop(path):
+            raise AssertionError("the row loop ran on a clean file")
+
+        monkeypatch.setattr(dataio, "_read_csv_loop", no_loop)
+        assert _read_rows(dataio._read_csv, path, n_cols, increasing) == want
+
+    @pytest.mark.parametrize("where", ["start", "body"])
+    @pytest.mark.parametrize("parse", [dataio.parse_full_cell, dataio.parse_reference_curve])
+    def test_non_utf8_file_is_an_input_error_naming_it(self, tmp_path, where, parse):
+        header = dataio.FULL_CELL_HEADER if parse is dataio.parse_full_cell else dataio.REFERENCE_HEADER
+        text = f"# electrode_role = negative\n# direction = lithiation\n{header}\n".encode()
+        rows = b"".join(b"%d,%d\n" % (i, 5000 - i) for i in range(5000))
+        if where == "start":
+            raw = b"\xff\xfe" + "capacity_ah,voltage_v\n0,1\n".encode("utf-16-le")
+        else:  # past the first read buffer, so np.loadtxt meets it
+            raw = text + rows + b"\xff,1\n"
+        path = tmp_path / "cell.csv"
+        path.write_bytes(raw)
+        with pytest.raises(InputDataError, match=r"cell\.csv: not UTF-8 text"):
+            parse(path)
+
+
 class TestLoadConfig:
     def test_bundled_config(self):
         cfg = dataio.load_config(CONFIG)
@@ -370,6 +550,7 @@ class TestLoadConfig:
             ("design.negative", dict(DESIGN, n_faces=28.5),
              r"design\.negative\.n_faces: expected an integer, got 28\.5"),
             ("fit.seed", -1, r"seed must be >= 0, got -1"),
+            ("fit.smoothing", {"enabled": "false"}, r"enabled: expected true or false, got 'false'"),
         ],
     )
     def test_malformed_value_rejected_naming_key(self, tmp_path, key, value, match):
@@ -388,6 +569,17 @@ class TestLoadConfig:
         path = _write(tmp_path / "c.json", json.dumps(cfg_obj))
         with pytest.raises(ConfigError, match=match):
             dataio.load_config(path)
+
+    @pytest.mark.parametrize("enabled", [False, True])
+    def test_smoothing_enabled_bool_loads(self, tmp_path, enabled):
+        cfg_obj = json.loads((DATA_DIR / "config.json").read_text())
+        cfg_obj["reference_curves"] = {
+            "positive": str(DATA_DIR / "u_pos.csv"),
+            "negative": str(DATA_DIR / "u_neg.csv"),
+        }
+        cfg_obj["fit"]["smoothing"] = {"enabled": enabled}
+        path = _write(tmp_path / "c.json", json.dumps(cfg_obj))
+        assert dataio.load_config(path).fit.smoothing.enabled is enabled
 
     def test_bad_smoothing_key_rejected(self, tmp_path):
         cfg_obj = {
@@ -726,6 +918,22 @@ class TestCliBadValues:
         record = json.loads(err[0])
         assert record["error"] == "ConfigError" and "window_length" in record["message"]
 
+    def test_string_smoothing_enabled_exits_5(self, tmp_path, capsys):
+        cfg_obj = json.loads((DATA_DIR / "config.json").read_text())
+        cfg_obj["reference_curves"] = {
+            "positive": str(DATA_DIR / "u_pos.csv"),
+            "negative": str(DATA_DIR / "u_neg.csv"),
+        }
+        cfg_obj["fit"]["smoothing"] = {"enabled": "false"}
+        cfg = _write(tmp_path / "c.json", json.dumps(cfg_obj))
+        cell = str(DATA_DIR / "example_cell.csv")
+        code = main(["fit", "--config", cfg, "--out-dir", str(tmp_path), cell])
+        assert code == ConfigError.exit_code
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        record = json.loads(err[0])
+        assert record["error"] == "ConfigError" and "enabled" in record["message"]
+
     def test_non_numeric_metadata_exits_2(self, tmp_path, capsys):
         text = (DATA_DIR / "rate_check_c20.csv").read_text()
         assert "# c_rate = " in text
@@ -847,6 +1055,19 @@ class TestCliReports:
         assert record["message"].startswith(f"{bad}: report features: missing key 'q_sei'")
         assert report_paths[1] not in record["message"]
 
+    @pytest.mark.parametrize("command", ["features", "batch"])
+    def test_non_utf8_report_exits_2_naming_the_file(self, report_paths, tmp_path, capsys, command):
+        bad = tmp_path / "bad.report.json"
+        bad.write_bytes(b"\xff\xfe" + Path(report_paths[0]).read_text().encode("utf-16-le"))
+        argv = {
+            "features": ["features", str(bad)],
+            "batch": ["batch", "--metrics", "q_sei", "--summary-out", str(tmp_path / "s.csv"), str(bad)],
+        }[command]
+        assert main(argv) == InputDataError.exit_code
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["message"].startswith(f"{bad}: not UTF-8 text")
+
     @pytest.mark.parametrize(
         "echo, message",
         [
@@ -957,6 +1178,15 @@ class TestCliCheckRate:
         assert json.loads(captured.out)["passed"] is False
         err = json.loads(captured.err.strip().splitlines()[-1])
         assert err["exit_code"] == 1 and "near-equilibrium" in err["message"]
+
+    def test_non_utf8_csv_exits_2_naming_the_file(self, tmp_path, capsys):
+        slow = tmp_path / "slow.csv"
+        slow.write_bytes(b"\xff\xfe" + "capacity_ah,voltage_v\n0,1\n".encode("utf-16-le"))
+        code = main(["check-rate", str(slow), str(DATA_DIR / "rate_check_c100.csv")])
+        assert code == InputDataError.exit_code
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["message"].startswith(f"{slow}: not UTF-8 text")
 
 
 class TestRuntimeImports:
