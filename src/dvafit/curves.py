@@ -133,11 +133,21 @@ class ReferencePotentialCurve:
     def _pieces(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         return _pchip_pieces(self.stoich_grid, self.potential)
 
+    @cached_property
+    def _table(self) -> _BucketTable | None:
+        return _bucket_table(self._pieces[0])
+
     def _evaluate(self, s, orders: tuple[int, ...]) -> list[np.ndarray]:
         """U (order 0), U' (1) and U'' (2) at stoichiometry ``s``, in the
         order ``orders`` lists them.  ``s`` must already lie in [0, 1]:
-        there is no range check."""
-        return _evaluate_pieces(self._pieces, s, orders)
+        there is no range check.
+
+        The interval of each point comes from the curve's bucket table,
+        built once on first use, unless the grid is too uneven for one
+        (see :func:`_bucket_table`); either way it is the interval
+        ``np.searchsorted`` finds, so the values are the same bits.
+        """
+        return _evaluate_pieces(self._pieces, s, orders, self._table)
 
 
 def _pchip_end_slope(h0, h1, m0, m1):
@@ -186,28 +196,91 @@ def _pchip_pieces(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, tuple[np.nd
     return x[1:-1].copy(), (x[:-1], c3, c2, c1, c0, 2.0 * c1, 3.0 * c0, 6.0 * c0)
 
 
-def _evaluate_pieces(pieces, s, orders: tuple[int, ...]) -> list[np.ndarray]:
+# A stoichiometry grid gets a bucket table when no bucket holds more than
+# this many interior nodes; each one costs a gather and a compare per point.
+MAX_BUCKET_NODES = 4
+
+
+class _BucketTable(NamedTuple):
+    """Constant-time interval lookup for breakpoints spanning [0, 1].
+
+    With B intervals, a value v in [0, 1] falls in bucket ``int(v * B)``,
+    one of B + 1 (v = 1 alone reaches bucket B).  ``first[b]`` counts the
+    interior breakpoints in buckets below b; ``nodes`` is the interior
+    breakpoints followed by +inf.
+    """
+
+    first: np.ndarray  # (B + 1,) intp
+    nodes: np.ndarray  # (B,) interior breakpoints, then +inf
+    depth: int  # most interior breakpoints any bucket holds
+
+
+def _bucket_table(interior: np.ndarray) -> _BucketTable | None:
+    """The bucket table for the interior breakpoints of a grid spanning
+    [0, 1], or None when a bucket would hold more than
+    :data:`MAX_BUCKET_NODES` of them (a grid far from uniform), where
+    ``np.searchsorted`` is the cheaper search."""
+    n_intervals = interior.size + 1
+    counts = np.bincount((interior * n_intervals).astype(np.intp), minlength=n_intervals + 1)
+    depth = int(counts.max())
+    if depth > MAX_BUCKET_NODES:
+        return None
+    return _BucketTable(np.cumsum(counts) - counts, np.append(interior, np.inf), depth)
+
+
+def _intervals(interior: np.ndarray, s, table: _BucketTable | None):
+    """``np.searchsorted(interior, s, side="right")``: for each ``s``, the
+    number of interior breakpoints at or below it.
+
+    A table replaces the binary search with ``table.depth`` gathers and
+    compares per point and gives the same integers: rounding is monotone,
+    so ``int(v * B)`` never decreases as v grows.  Every breakpoint in a
+    bucket below the bucket of s is then below s, every one in a bucket
+    above it is above s, and only the breakpoints sharing its bucket are
+    compared, in order.  This holds for s in [0, 1] and for any s whose
+    bucket index fits an intp: a bucket outside [0, B] clips to the end
+    bucket, whose breakpoints all compare the same way.  A single point
+    (0-d ``s``) takes the binary search, which costs less there than the
+    table's numpy calls.
+    """
+    if table is None or np.ndim(s) == 0:
+        return np.searchsorted(interior, s, side="right")
+    bucket = (s * (table.first.size - 1)).astype(np.intp)
+    i = np.take(table.first, bucket, mode="clip")
+    for _ in range(table.depth):
+        i += s >= np.take(table.nodes, i)
+    return i
+
+
+def _evaluate_pieces(
+    pieces, s, orders: tuple[int, ...], table: _BucketTable | None = None
+) -> list[np.ndarray]:
     """Orders 0, 1 and 2 of the :func:`_pchip_pieces` interpolant at ``s``,
     in the order ``orders`` lists them.
 
-    One interval search serves every term; points outside the breakpoints
-    extend the end cubics.  The sums are grouped as scipy's PPoly evaluation
+    One interval search serves every term: a lookup in ``table``, the
+    :func:`_bucket_table` of the breakpoints, when there is one, else a
+    binary search (one-shot interpolants such as :func:`resample`, where
+    building a table would cost more than it saves, and uneven grids).
+    Both find the same interval.  Points outside the breakpoints extend
+    the end cubics.  The sums are grouped as scipy's PPoly evaluation
     groups them, so the values equal the PchipInterpolator's and its
     derivatives'.
     """
     interior, (left, c3, c2, c1, c0, d1, d0, e0) = pieces
     # Interval i holds [x_i, x_i+1); the last breakpoint falls in the last one.
-    i = np.searchsorted(interior, s, side="right")
+    i = _intervals(interior, s, table)
     t = s - left[i]
     t2 = t * t
+    c2_i, d1_i = c2[i], d1[i]  # each serves two orders
     terms = []
     for order in orders:
         if order == 0:
-            terms.append(((c3[i] + c2[i] * t) + c1[i] * t2) + c0[i] * (t2 * t))
+            terms.append(((c3[i] + c2_i * t) + c1[i] * t2) + c0[i] * (t2 * t))
         elif order == 1:
-            terms.append((c2[i] + d1[i] * t) + d0[i] * t2)
+            terms.append((c2_i + d1_i * t) + d0[i] * t2)
         else:
-            terms.append(d1[i] + e0[i] * t)
+            terms.append(d1_i + e0[i] * t)
     return terms
 
 
@@ -328,7 +401,7 @@ def build_reference_curve(
 
 def _lookup_in_window(curve: ReferencePotentialCurve, order: int, s):
     s_arr = np.asarray(s, dtype=float)
-    bad = (s_arr < 0.0) | (s_arr > 1.0)
+    bad = ~((s_arr >= 0.0) & (s_arr <= 1.0))  # NaN is outside too
     if np.any(bad):
         offender = float(np.atleast_1d(s_arr)[np.atleast_1d(bad)][0])
         raise InfeasibilityError(
@@ -342,7 +415,7 @@ def _lookup_in_window(curve: ReferencePotentialCurve, order: int, s):
 def interpolate_potential(curve: ReferencePotentialCurve, s) -> np.ndarray | float:
     """Potential (V vs Li/Li+) at stoichiometry ``s``; exact at nodes.
 
-    ``s`` outside [0, 1] raises InfeasibilityError.
+    ``s`` outside [0, 1], or NaN, raises InfeasibilityError.
     """
     return _lookup_in_window(curve, 0, s)
 

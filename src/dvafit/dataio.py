@@ -192,6 +192,20 @@ def _read_csv_loop(path) -> _CsvFile:
     return _CsvFile(meta, header, header_lineno, None, rows)
 
 
+# np.loadtxt strips these ASCII separators around a value as whitespace;
+# float() does not, so a file holding one is the row loop's to read.  In
+# UTF-8 their bytes stand for nothing else.
+_LOADTXT_ONLY_SPACES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _holds_loadtxt_only_spaces(path) -> bool:
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
+            if any(c in chunk for c in _LOADTXT_ONLY_SPACES):
+                return True
+    return False
+
+
 def _read_csv(path) -> _CsvFile:
     """Read a data file: metadata and header line by line, then every data
     row in one ``np.loadtxt`` call on the same handle.
@@ -200,7 +214,8 @@ def _read_csv(path) -> _CsvFile:
     after the header, no whitespace-only lines, no ``1_000``), and reads
     it to the same bits, since both parse each value with CPython's
     ``PyOS_string_to_double``.  When it raises, or warns (as it does on a
-    file with no data rows), the row loop reads the file instead;
+    file with no data rows), or the file holds a character only ``loadtxt``
+    takes for whitespace, the row loop reads the file instead;
     :func:`_csv_rows` also turns to the loop for data of the wrong shape
     or a time axis that does not rise.
     """
@@ -211,7 +226,8 @@ def _read_csv(path) -> _CsvFile:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-                return _CsvFile(meta, header, header_lineno, data)
+                if not _holds_loadtxt_only_spaces(path):
+                    return _CsvFile(meta, header, header_lineno, data)
             except (ValueError, Warning):
                 pass
         return _read_csv_loop(path)
@@ -466,6 +482,8 @@ def load_config(path) -> ToolkitConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):

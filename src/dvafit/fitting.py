@@ -14,9 +14,12 @@ infeasible regions without crashing.
 All starts advance in lockstep as one batched bounded Levenberg-Marquardt
 problem: each iteration makes one batched kernel call for the trial
 points of every start still running and one batched solve of their
-damped normal equations, and the kernel's analytic Jacobian is evaluated
-only where a start accepted its step.  Every operation works row by row,
-so a start ends exactly where it would end if it ran alone.
+damped normal equations.  That kernel call finds each point's interval
+on the reference curves once and returns the curves' slopes and
+curvatures with the residual; where a start accepted its step, the
+analytic Jacobian is built from those, with no second evaluation.  Every
+operation works row by row, so a start ends exactly where it would end
+if it ran alone.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .curves import (
     validate_full_cell,
 )
 from .errors import ConfigError, require_int
-from .model import ElectrodeParams, evaluate, jacobian, param_vector
+from .model import CurveDerivatives, ElectrodeParams, ModelTerms, evaluate, jacobian, param_vector
 
 # Penalty residual per unit of stoichiometry excursion beyond [0, 1],
 # applied per grid point.  Large against voltage errors (order 0.1 V) so
@@ -197,38 +200,56 @@ def _prepare(measured: CapacityVoltageSeries, cfg: FitConfig) -> _Problem:
     )
 
 
-def _channels(vec, prob, u_pos, u_neg):
+def _errors(terms: ModelTerms, prob: _Problem):
     """Voltage error, differential error, and feasibility excursion.
 
     The model is evaluated on stoichiometries clipped to [0, 1]; the
     excursion channel carries what clipping removed, so infeasibility
-    shows up as penalty rather than NaN.  ``vec`` is one parameter vector
-    or a batch of them, as the kernel takes it.
+    shows up as penalty rather than NaN.
     """
-    m = evaluate(vec, prob.q_grid, u_pos, u_neg)
-    return m.voltage - prob.v_meas, m.dvdq_pos + m.dvdq_neg - prob.dvdq_meas, m.excursion
+    return (
+        terms.voltage - prob.v_meas,
+        terms.dvdq_pos + terms.dvdq_neg - prob.dvdq_meas,
+        terms.excursion,
+    )
+
+
+def _channels(vec, prob, u_pos, u_neg):
+    """:func:`_errors` at one parameter vector or a batch of them, as the
+    kernel takes it."""
+    return _errors(evaluate(vec, prob.q_grid, u_pos, u_neg), prob)
 
 
 def _block_weights(lam):
     return np.array([np.sqrt(lam), np.sqrt(1.0 - lam), PENALTY_V_PER_UNIT])
 
 
-def _stacked(vec, prob, u_pos, u_neg, lam):
-    """Stacked residual: (3N,) for one vector, (S, 3N) for a batch."""
+def _trial(vec, prob, u_pos, u_neg, lam) -> tuple[np.ndarray, CurveDerivatives]:
+    """The stacked residual at ``vec``, (3N,) for one vector and (S, 3N)
+    for a batch, and the curve derivatives its Jacobian needs, from one
+    kernel evaluation."""
+    terms = evaluate(vec, prob.q_grid, u_pos, u_neg)
     w_v, w_d, w_exc = _block_weights(lam)
-    e_v, e_d, exc = _channels(vec, prob, u_pos, u_neg)
-    return np.concatenate([w_v * e_v, w_d * e_d, w_exc * exc], axis=-1)
+    e_v, e_d, exc = _errors(terms, prob)
+    return np.concatenate([w_v * e_v, w_d * e_d, w_exc * exc], axis=-1), terms.derivatives
+
+
+def _stacked(vec, prob, u_pos, u_neg, lam):
+    """The stacked residual at ``vec``; see :func:`residuals`."""
+    return _trial(vec, prob, u_pos, u_neg, lam)[0]
 
 
 def _stacked_jacobian(vec, prob, u_pos, u_neg, lam):
     """Jacobian of :func:`_stacked` with respect to (qn, qp, x0, y0), same
     block layout: (3N, 4) for one vector, (S, 3N, 4) for a batch."""
-    return _stacked_jacobian_t(vec, prob, u_pos, u_neg, lam).swapaxes(-1, -2)
+    derivs = _trial(vec, prob, u_pos, u_neg, lam)[1]
+    return _jacobian_t(vec, derivs, prob, lam).swapaxes(-1, -2)
 
 
-def _stacked_jacobian_t(vec, prob, u_pos, u_neg, lam):
-    # The transposed Jacobian, (4, 3N) or (S, 4, 3N), as the kernel lays it out.
-    jac = jacobian(vec, prob.q_grid, u_pos, u_neg)
+def _jacobian_t(vec, derivs, prob, lam):
+    # The transposed Jacobian, (4, 3N) or (S, 4, 3N), as the kernel lays it
+    # out, from the curve derivatives of the evaluation at ``vec``.
+    jac = jacobian(vec, prob.q_grid, derivs)
     jac *= _block_weights(lam)[:, None]
     return jac.reshape(jac.shape[:-2] + (3 * prob.q_grid.size,))
 
@@ -267,10 +288,15 @@ class _Solution(NamedTuple):
 _EYE = np.eye(4)
 
 
-def _normal_equations(x, r, args):
-    """J^T J and J^T r at accepted points; the Jacobian is not kept."""
-    jac_t = _stacked_jacobian_t(x, *args)
+def _normal_equations(x, derivs, r, prob, lam):
+    """J^T J and J^T r at accepted points, from the curve derivatives and
+    residuals their evaluation gave; the Jacobian is not kept."""
+    jac_t = _jacobian_t(x, derivs, prob, lam)
     return jac_t @ jac_t.swapaxes(-1, -2), (jac_t @ r[..., None])[..., 0]
+
+
+def _rows(derivs: CurveDerivatives, rows) -> CurveDerivatives:
+    return CurveDerivatives._make(a[rows] for a in derivs)
 
 
 def _solve(starts, lo, hi, x_scale, prob, u_pos, u_neg, cfg) -> _Solution:
@@ -287,9 +313,9 @@ def _solve(starts, lo, hi, x_scale, prob, u_pos, u_neg, cfg) -> _Solution:
     when the evaluation budget is spent: every running start makes one
     residual evaluation per iteration.
     """
-    args = (prob, u_pos, u_neg, cfg.lam)
+    lam = cfg.lam
     x_out = np.array(starts, dtype=float)
-    r = _stacked(x_out, *args)
+    r, derivs = _trial(x_out, prob, u_pos, u_neg, lam)
     obj_out = np.einsum("si,si->s", r, r)
     status_out = np.zeros(len(x_out), dtype=int)
     nfev_out = np.full(len(x_out), cfg.max_iterations)
@@ -299,7 +325,7 @@ def _solve(starts, lo, hi, x_scale, prob, u_pos, u_neg, cfg) -> _Solution:
     # State of the running starts only; a start's row leaves when it stops.
     idx = np.arange(len(x_out))
     x, obj = x_out.copy(), obj_out.copy()
-    jtj, grad = _normal_equations(x, r, args)
+    jtj, grad = _normal_equations(x, derivs, r, prob, lam)
     mu = np.full(len(x), INITIAL_DAMPING)
     growth = np.full(len(x), 2.0)  # mu's factor after a rejection
     stretch = np.ones(len(x))
@@ -313,7 +339,7 @@ def _solve(starts, lo, hi, x_scale, prob, u_pos, u_neg, cfg) -> _Solution:
         m = np.where(free[:, :, None] & free[:, None, :], h + damping[:, :, None] * _EYE, _EYE)
         step = np.linalg.solve(m, np.where(free, -grad, 0.0)[..., None])[..., 0]
         x_new = np.minimum(np.maximum(x + step, lo), hi)
-        r_new = _stacked(x_new, *args)
+        r_new, derivs = _trial(x_new, prob, u_pos, u_neg, lam)
         obj_new = np.einsum("si,si->s", r_new, r_new)
 
         dx = x_new - x
@@ -342,11 +368,13 @@ def _solve(starts, lo, hi, x_scale, prob, u_pos, u_neg, cfg) -> _Solution:
             run = ~stop
             idx, x, obj, jtj, grad = idx[run], x[run], obj[run], jtj[run], grad[run]
             mu, growth, stretch = mu[run], growth[run], stretch[run]
-            accept, r_new = accept[run], r_new[run]
+            accept, r_new, derivs = accept[run], r_new[run], _rows(derivs, run)
             if not idx.size:
                 break
         if accept.any() and nfev < cfg.max_iterations:
-            jtj[accept], grad[accept] = _normal_equations(x[accept], r_new[accept], args)
+            jtj[accept], grad[accept] = _normal_equations(
+                x[accept], _rows(derivs, accept), r_new[accept], prob, lam
+            )
     # Starts still running have spent their budget: status 0.
     x_out[idx], obj_out[idx] = x, obj
     return _Solution(x_out, obj_out, status_out, nfev_out)

@@ -152,16 +152,17 @@ def _unclipped_profiles(vec, q_grid):
 
 
 def _clip(x, y):
-    xc = np.minimum(np.maximum(x, 0.0), 1.0)
-    yc = np.minimum(np.maximum(y, 0.0), 1.0)
-    return xc, yc, np.abs(x - xc) + np.abs(y - yc)
+    return np.minimum(np.maximum(x, 0.0), 1.0), np.minimum(np.maximum(y, 0.0), 1.0)
 
 
-def clipped_profiles(vec, q_grid):
-    """(x, y) over ``q_grid`` clipped to [0, 1], and the per-point excursion
-    the clip removed: the fit penalizes it, the predictions raise on it."""
-    _, _, _, x, y = _unclipped_profiles(vec, q_grid)
-    return _clip(x, y)
+class CurveDerivatives(NamedTuple):
+    """Slopes and curvatures of the two curves at the clipped
+    stoichiometries: what :func:`jacobian` needs besides the parameters."""
+
+    slope_pos: np.ndarray  # U_pos'(y)
+    slope_neg: np.ndarray  # U_neg'(x)
+    curv_pos: np.ndarray  # U_pos''(y)
+    curv_neg: np.ndarray  # U_neg''(x)
 
 
 class ModelTerms(NamedTuple):
@@ -172,42 +173,55 @@ class ModelTerms(NamedTuple):
     dvdq_pos: np.ndarray  # -U_pos'(y) / qp; dV/dq is dvdq_pos + dvdq_neg
     dvdq_neg: np.ndarray  # -U_neg'(x) / qn
     excursion: np.ndarray  # stoichiometry the clip to [0, 1] removed
+    derivatives: CurveDerivatives
 
 
 def evaluate(
     vec, q_grid, u_pos: ReferencePotentialCurve, u_neg: ReferencePotentialCurve
 ) -> ModelTerms:
-    """The forward model at stoichiometries clipped to [0, 1]."""
+    """The forward model at stoichiometries clipped to [0, 1].
+
+    One interval search per point and curve gives U, U' and U'' there.
+    The values and slopes make the model; the slopes and curvatures are
+    kept in ``derivatives``, which is all :func:`jacobian` needs at the
+    same vector, so a solver that asks for the Jacobian at a point it has
+    just evaluated does not search again.
+    """
     _, qn, qp, x, y = _unclipped_profiles(vec, q_grid)
-    xc, yc, excursion = _clip(x, y)
-    u_neg_x, slope_neg = u_neg._evaluate(xc, (0, 1))
-    u_pos_y, slope_pos = u_pos._evaluate(yc, (0, 1))
-    return ModelTerms(u_pos_y - u_neg_x, -slope_pos / qp, -slope_neg / qn, excursion)
+    xc, yc = _clip(x, y)
+    u_neg_x, slope_neg, curv_neg = u_neg._evaluate(xc, (0, 1, 2))
+    u_pos_y, slope_pos, curv_pos = u_pos._evaluate(yc, (0, 1, 2))
+    return ModelTerms(
+        u_pos_y - u_neg_x,
+        -slope_pos / qp,
+        -slope_neg / qn,
+        np.abs(x - xc) + np.abs(y - yc),
+        CurveDerivatives(slope_pos, slope_neg, curv_pos, curv_neg),
+    )
 
 
-def jacobian(
-    vec, q_grid, u_pos: ReferencePotentialCurve, u_neg: ReferencePotentialCurve
-) -> np.ndarray:
+def jacobian(vec, q_grid, derivatives: CurveDerivatives) -> np.ndarray:
     """Partial derivatives of :func:`evaluate` with respect to (qn, qp, x0, y0).
 
-    Shape (S, 4, 3, N) for a batch of S vectors over N grid points, (4, 3, N)
-    for one vector: per parameter, the derivatives of voltage, of dV/dq
-    (dvdq_pos + dvdq_neg) and of excursion.  With x = x0 + q/qn and
-    y = y0 - q/qp, a clipped stoichiometry does not move with the
-    parameters, so the interpolant terms lose their stoichiometry
-    derivative there while the dV/dq terms keep the derivative of 1/qn
-    and 1/qp; the excursion moves as +x or -x (+y or -y) on the side that
-    was clipped.
+    ``derivatives`` is the ``derivatives`` field of
+    ``evaluate(vec, q_grid, ...)``: the trial evaluation's slopes and
+    curvatures, so the Jacobian evaluates no curve and searches no
+    interval.  Shape (S, 4, 3, N) for a batch of S vectors over N grid
+    points, (4, 3, N) for one vector: per parameter, the derivatives of
+    voltage, of dV/dq (dvdq_pos + dvdq_neg) and of excursion.  With
+    x = x0 + q/qn and y = y0 - q/qp, a clipped stoichiometry does not move
+    with the parameters, so the interpolant terms lose their stoichiometry
+    derivative there while the dV/dq terms keep the derivative of 1/qn and
+    1/qp; the excursion moves as +x or -x (+y or -y) on the side that was
+    clipped.
     """
     q, qn, qp, x, y = _unclipped_profiles(vec, q_grid)
-    xc, yc, _ = _clip(x, y)
-    s_neg, curv_neg = u_neg._evaluate(xc, (1, 2))
-    s_pos, curv_pos = u_pos._evaluate(yc, (1, 2))
+    xc, yc = _clip(x, y)
+    s_pos, s_neg, curv_pos, curv_neg = derivatives
     # dx/dx0 = dy/dy0 = 1; in_x and in_y are 0 where the clip holds.
     dx_dqn, dy_dqp = -q / qn**2, q / qp**2
     in_x = (x == xc).astype(float)
     in_y = (y == yc).astype(float)
-    c_neg, c_pos = curv_neg * in_x, curv_pos * in_y
     jac = np.empty(x.shape[:-1] + (4, 3) + x.shape[-1:])
     d_qn, d_qp, d_x0, d_y0 = (jac[..., k, :, :] for k in range(4))
 
@@ -216,8 +230,8 @@ def jacobian(
     d_qn[..., 0, :] = d_x0[..., 0, :] * dx_dqn
     d_qp[..., 0, :] = d_y0[..., 0, :] * dy_dqp
 
-    d_x0[..., 1, :] = -c_neg / qn
-    d_y0[..., 1, :] = -c_pos / qp
+    d_x0[..., 1, :] = -(curv_neg * in_x) / qn
+    d_y0[..., 1, :] = -(curv_pos * in_y) / qp
     d_qn[..., 1, :] = d_x0[..., 1, :] * dx_dqn + s_neg / qn**2
     d_qp[..., 1, :] = d_y0[..., 1, :] * dy_dqp + s_pos / qp**2
 
@@ -231,18 +245,18 @@ def jacobian(
 
 
 def _in_window(p, q_grid, u_pos, u_neg) -> ModelTerms:
-    terms = evaluate(param_vector(p), q_grid, u_pos, u_neg)
-    bad = terms.excursion > 0.0
+    x, y = stoich_profiles(p, q_grid)
+    bad = ~((x >= 0.0) & (x <= 1.0) & (y >= 0.0) & (y <= 1.0))  # NaN is outside too
     if np.any(bad):
         q = np.asarray(q_grid, dtype=float).ravel()
-        i = int(np.argmax(bad))
+        i = int(np.argmax(bad.ravel()))
         x_i, y_i = stoich_profiles(p, q[i])
         raise InfeasibilityError(
             f"stoichiometry out of [0, 1] at q={q[i]:.6g} Ah "
             f"(x={x_i:.6g}, y={y_i:.6g})",
             offending_q=float(q[i]),
         )
-    return terms
+    return evaluate(param_vector(p), q_grid, u_pos, u_neg)
 
 
 def predict_voltage(

@@ -1,12 +1,15 @@
 """Curve representation, ingestion, interpolation, smoothing, resampling."""
 
+import functools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 
 from dvafit.curves import (
+    MAX_BUCKET_NODES,
     CapacityVoltageSeries,
     ReferencePotentialCurve,
     SmoothingConfig,
@@ -18,10 +21,14 @@ from dvafit.curves import (
     resample,
     smooth,
     validate_full_cell,
+    _evaluate_pieces,
+    _intervals,
 )
 from dvafit.dataio import parse_reference_curve
 from dvafit.errors import ConfigError, InfeasibilityError, InputDataError
 from dvafit.synth import analytic_reference_curves
+
+from conftest import DATA_DIR
 
 
 def _series(q, v, direction="charge"):
@@ -299,6 +306,14 @@ class TestInterpolatePotential:
         with pytest.raises(InfeasibilityError):
             potential_slope(c, -0.01)
 
+    @pytest.mark.parametrize("lookup", [interpolate_potential, potential_slope])
+    def test_nan_is_outside_the_window(self, lookup):
+        c = _curve(np.linspace(0, 1, 5), 4.0 - np.linspace(0, 1, 5))
+        with pytest.raises(InfeasibilityError, match="nan outside"):
+            lookup(c, np.array([0.5, np.nan]))
+        with pytest.raises(InfeasibilityError, match="nan outside"):
+            lookup(c, float("nan"))
+
     def test_never_overshoots_node_range_and_stays_monotone(self):
         # Steep knee data is where a non-monotone cubic would overshoot.
         s = np.linspace(0, 1, 31)
@@ -365,6 +380,99 @@ class TestPchipCoefficients:
             n = s_random.size
             want = ref.derivative(2)(s_random)
             assert np.max(np.abs(curvature[:n] - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@functools.lru_cache(maxsize=None)
+def _bundled_curves():
+    bundled = [parse_reference_curve(DATA_DIR / f"u_{r}.csv") for r in ("pos", "neg")]
+    return bundled + list(analytic_reference_curves())
+
+
+@st.composite
+def _lookup_grids(draw):
+    """A stoichiometry grid spanning [0, 1] and whether it must fall back
+    to the binary search (None: either way)."""
+    kind = draw(st.sampled_from(["linspace", "bundled", "jittered", "clustered"]))
+    if kind == "bundled":
+        return draw(st.sampled_from([c.stoich_grid for c in _bundled_curves()])), False
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(4, 3000))
+    b = n - 1  # buckets in [0, 1)
+    if kind == "linspace":
+        return np.linspace(0.0, 1.0, n), None
+    if kind == "jittered":
+        # Nodes moved by up to ``reach`` buckets, kept in order.
+        reach = draw(st.sampled_from([1e-12, 0.1, 0.49, 2.0]))
+        x = np.arange(1, b) / b + rng.uniform(-reach, reach, b - 1) / b
+        x = np.unique(np.clip(x, 1e-9, 1.0 - 1e-9))
+        return np.concatenate([[0.0], x, [1.0]]), None
+    # More nodes than a table allows inside one bucket, the rest anywhere.
+    n = max(n, MAX_BUCKET_NODES + 3)
+    b = n - 1
+    crowded = draw(st.integers(0, b - 1))
+    k = draw(st.integers(MAX_BUCKET_NODES + 1, n - 2))
+    inside = (crowded + rng.uniform(1e-6, 1.0 - 1e-6, k)) / b
+    x = np.unique(np.concatenate([inside, rng.uniform(1e-9, 1.0 - 1e-9, n - 2 - k)]))
+    assume(x.size == n - 2)
+    return np.concatenate([[0.0], x, [1.0]]), True
+
+
+class TestBucketLookup:
+    """The bucket table against ``np.searchsorted(side="right")``: the same
+    interval for every query, so the same bits for U, U' and U''."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_lookup_grids(), st.integers(0, 2**32 - 1))
+    def test_matches_binary_search(self, grid_and_fallback, seed):
+        x, falls_back = grid_and_fallback
+        rng = np.random.default_rng(seed)
+        p = rng.uniform(3.0, 4.0, x.size)
+        p[rng.random(x.size) < 0.1] = 3.5  # repeated values make flats
+        curve = _curve(x, np.sort(p)[::-1], window=(2.9, 4.1))
+        if falls_back is not None:
+            assert (curve._table is None) == falls_back
+        draws = rng.random(2000)
+        queries = [
+            np.concatenate(
+                [x, np.nextafter(x, -1.0), np.nextafter(x, 2.0), [0.0, 1.0, -0.0]]
+            ),
+            np.sort(draws),
+            draws,
+            np.sort(rng.random((16, 125)), axis=-1),
+            np.array([-2.0, -1e-3, 1.5, 1e6]),  # beyond [0, 1]: the end buckets
+        ]
+        interior = curve._pieces[0]
+        for s in queries:
+            want = np.searchsorted(interior, s, side="right")
+            assert np.array_equal(_intervals(interior, s, curve._table), want)
+            got = curve._evaluate(s, (0, 1, 2))
+            ref = _evaluate_pieces(curve._pieces, s, (0, 1, 2))
+            for g, r in zip(got, ref):
+                assert np.array_equal(g, r, equal_nan=True)
+        for v in (0.0, 1.0, float(draws[0])):
+            got = curve._evaluate(np.float64(v), (0, 1, 2))
+            ref = _evaluate_pieces(curve._pieces, np.float64(v), (0, 1, 2))
+            assert [float(g).hex() for g in got] == [float(r).hex() for r in ref]
+
+    def test_bundled_curves_take_the_table(self):
+        # The fit kernel's curves must not fall back to the binary search.
+        for curve in _bundled_curves():
+            assert curve._table is not None
+            assert curve._table.depth == 1
+
+    def test_resample_takes_the_binary_search(self, monkeypatch):
+        # A one-shot interpolant builds no table.
+        calls = []
+        real = np.searchsorted
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].size)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "searchsorted", counted)
+        q = np.linspace(0.0, 2.0, 200)
+        resample(_series(q, 3.0 + 0.5 * q), 50)
+        assert calls == [198]  # the interior breakpoints
 
 
 class TestSmooth:

@@ -22,7 +22,7 @@ from dvafit.fitting import (
 )
 from dvafit.model import (
     ElectrodeParams,
-    clipped_profiles,
+    evaluate,
     param_vector,
     predict_dvdq,
     predict_voltage,
@@ -176,7 +176,9 @@ class TestJacobian:
         args = (prob, u_pos, u_neg, lam)
 
         # The penalty is active on the intended side only.
-        x, y, exc = clipped_profiles(vec, prob.q_grid)
+        qn, qp, x0, y0 = vec
+        x, y = x0 + prob.q_grid / qn, y0 - prob.q_grid / qp
+        exc = evaluate(vec, prob.q_grid, u_pos, u_neg).excursion
         assert np.any(exc > 0.0) == (point != "truth")
         assert np.all(x < 1.0) == (point != "x_side")
         assert np.all(y > 0.0) == (point != "y_side")

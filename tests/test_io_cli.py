@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -355,6 +356,14 @@ class TestCsvReader:
             "capacity_ah,voltage_v\n0.0,3.0\n0.5,1.0#x\n", 2, False,
             "{path}:3: could not convert string to float: '1.0#x'",
         ),
+        "file_separator_before_comma": (
+            "capacity_ah,voltage_v\n0.0,3.0\n0.5\x1c,3.5\n", 2, False,
+            "{path}:3: could not convert string to float: '0.5\\x1c'",
+        ),
+        "unit_separator_after_comma": (
+            "capacity_ah,voltage_v\n0.0,3.0\n0.5,\x1f3.5\n", 2, False,
+            "{path}:3: could not convert string to float: '\\x1f3.5'",
+        ),
         "trailing_comma": (
             "capacity_ah,voltage_v\n0.0,3.0\n0.5,3.5,\n", 2, False,
             "{path}:3: expected 2 comma-separated values, got 3",
@@ -457,6 +466,12 @@ class TestLoadConfig:
     def test_invalid_json_rejected(self, tmp_path):
         path = _write(tmp_path / "bad.json", "{not json")
         with pytest.raises(ConfigError, match="not valid JSON"):
+            dataio.load_config(path)
+
+    def test_non_utf8_rejected_naming_the_file(self, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: not UTF-8 text"):
             dataio.load_config(path)
 
     def test_non_object_rejected(self, tmp_path):
@@ -840,6 +855,17 @@ class TestCliFit:
         assert code == 5
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "ConfigError"
+
+    def test_non_utf8_config_exits_5_naming_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "utf16.json"
+        cfg.write_bytes(b"\xff\xfe{}")
+        code = main(["fit", "--config", str(cfg), str(DATA_DIR / "example_cell.csv")])
+        assert code == ConfigError.exit_code == 5
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        record = json.loads(err[0])
+        assert record["error"] == "ConfigError"
+        assert record["message"].startswith(f"{cfg}: not UTF-8 text")
 
     def test_iteration_starved_fit_exits_3_with_report(self, tmp_path, capsys):
         cfg_obj = json.loads((DATA_DIR / "config.json").read_text())

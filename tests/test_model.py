@@ -1,5 +1,7 @@
 """Forward model: capacity/stoichiometry transforms and predicted signals."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -160,6 +162,15 @@ class TestPredictVoltage:
             predict_voltage(p, q, u_pos, u_neg)
         assert err.value.offending_q is not None
         assert err.value.offending_q > 0.5  # x exceeds 1 past q = 0.5
+
+    @pytest.mark.parametrize("predict", [predict_voltage, predict_dvdq])
+    def test_nan_capacity_raises_without_warning(self, analytic_curves, predict):
+        u_pos, u_neg = analytic_curves
+        p = ElectrodeParams(2.95, 2.80, 0.035, 0.94, 1.80)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InfeasibilityError, match="q=nan"):
+                predict(p, np.array([0.5, np.nan]), u_pos, u_neg)
 
     def test_strictly_increasing_on_dense_grid(self, analytic_curves):
         u_pos, u_neg = analytic_curves
