@@ -39,10 +39,16 @@ run 0 smooth "$DATA/example_cell.csv" --out out/smoothed.csv \
     --report out/example_cell.report.json --config "$DATA/config.json"
 run 0 correct --report out/example_cell.report.json --x-window 0,1 --y-window 0.35,1 --anchor
 
-# Documented failures: malformed flag values are configuration errors (5),
-# unreadable inputs are input errors (2).
+# Documented failures: malformed flag values and config keys are
+# configuration errors (5), unreadable inputs are input errors (2).  A
+# misspelled config key ("lamda") is rejected, not left at its default.
+cat > "$WORK/misspelled.json" <<EOF
+{"reference_curves": {"positive": "$DATA/u_pos.csv", "negative": "$DATA/u_neg.csv"},
+ "fit": {"lamda": 0.3}}
+EOF
 run 5 synth --out-dir bad --theta 1,2
 run 5 correct --report out/example_cell.report.json --x-window 0 --y-window 0,1
+run 5 fit --config "$WORK/misspelled.json" --out-dir out "$DATA/example_cell.csv"
 run 2 features missing.report.json
 
 exit $status

@@ -76,7 +76,6 @@ from .fitting import (
     FitResult,
     ParameterBounds,
     fit,
-    fit_batch,
     residuals,
 )
 from .model import (

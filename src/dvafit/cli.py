@@ -165,26 +165,31 @@ def _cmd_features(args) -> int:
 
 
 def _records_from_reports(paths, batch_id: str):
-    records = []
+    """One CellRecord per report, and the paths of the reports whose fit
+    did not converge."""
+    records, unconverged = [], []
     for path in paths:
         report = dataio.read_report(path)
-        basis = report.config_echo.get("areal_basis_cm2") or 1.0
         try:
-            basis = float(basis)
-        except (TypeError, ValueError):
-            raise InputDataError(
-                f"{path}: report config_echo: bad value for 'areal_basis_cm2': {basis!r}"
-            ) from None
-        records.append(
-            batchmod.CellRecord(
-                cell_id=report.cell_id,
-                batch_id=batch_id,
-                theta=report.theta,
-                features=report.features,
-                areal_basis_cm2=basis,
+            # The config's rule for the key: a finite number, or null for none.
+            basis = dataio._decode(
+                float | None, report.config_echo.get("areal_basis_cm2"),
+                "report config_echo", "areal_basis_cm2", InputDataError,
             )
-        )
-    return records
+            records.append(
+                batchmod.CellRecord(
+                    cell_id=report.cell_id,
+                    batch_id=batch_id,
+                    theta=report.theta,
+                    features=report.features,
+                    areal_basis_cm2=1.0 if basis is None else basis,
+                )
+            )
+        except InputDataError as exc:
+            raise InputDataError(f"{path}: {exc}") from None
+        if not report.diagnostics.converged:
+            unconverged.append(path)
+    return records, unconverged
 
 
 def _write_summary_csv(path, summaries) -> None:
@@ -224,7 +229,12 @@ def _cmd_batch(args) -> int:
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
     if not metrics:
         raise ConfigError("--metrics needs at least one metric name")
-    records = _records_from_reports(args.reports, args.batch_id)
+    records, unconverged = _records_from_reports(args.reports, args.batch_id)
+    if unconverged:
+        _warn(
+            f"{len(unconverged)} of {len(records)} reports did not converge "
+            f"(fit.converged false) and are included: " + ", ".join(unconverged)
+        )
     summaries = [(args.batch_id, batchmod.summarize(records, m)) for m in metrics]
     _write_summary_csv(args.summary_out, summaries)
     print(f"wrote {args.summary_out} ({len(records)} cells, {len(metrics)} metrics)")

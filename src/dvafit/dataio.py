@@ -11,15 +11,17 @@ JSON.  Report serialization is canonical (sorted keys, floats at 17
 significant digits), so serialize -> parse -> serialize is
 byte-identical and reports diff cleanly under version control.
 
-The report layout is stated once, by the dataclasses: a report is the
-fields of :class:`Report`, and its sections are the fields of
-``ElectrodeParams`` (``theta``), ``FeatureSet`` with ``ArealFeatures``
-(``features``), ``FitDiagnostics`` (``fit``, with ``lam`` written as
-``lambda``), ``StartRecord`` and ``InputFile``.  :func:`dumps_canonical`
-writes any dataclass or NamedTuple as an object with one key per field,
-and :func:`parse_report` reads each field back by its annotation, so a
-new field is one edit.  Malformed files and reports raise
-``InputDataError``; malformed configuration values raise ``ConfigError``.
+The report and config layouts are stated once, by the dataclasses: a
+report is the fields of :class:`Report`, with ``ElectrodeParams``
+(``theta``), ``FeatureSet`` and ``ArealFeatures`` (``features``),
+``FitDiagnostics`` (``fit``, ``lam`` written as ``lambda``),
+``StartRecord`` and ``InputFile``; a config file is the fields of
+``_ConfigFile``, with ``FitConfig`` (``fit``) and ``DesignParams``
+(``design``).  :func:`dumps_canonical` writes any dataclass or NamedTuple
+as one key per field, and one strict decoder reads both back by each
+field's annotation, coercing nothing and rejecting unknown keys.
+Malformed files and reports raise ``InputDataError``; malformed
+configuration raises ``ConfigError``.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import inspect
 import json
 import math
 import os
+import sys
 import typing
 import warnings
 from dataclasses import dataclass, field
@@ -38,15 +41,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._version import __version__
-from .curves import (
-    CapacityVoltageSeries,
-    ReferencePotentialCurve,
-    SmoothingConfig,
-    build_reference_curve,
-)
-from .errors import ConfigError, InputDataError, require_int
+from .curves import CapacityVoltageSeries, ReferencePotentialCurve, build_reference_curve
+from .errors import ConfigError, DvafitError, InputDataError, require_int
 from .features import DesignParams, FeatureSet
-from .fitting import FitConfig, FitResult, ParameterBounds, StartRecord
+from .fitting import FitConfig, FitResult, StartRecord
 from .model import ElectrodeParams
 
 REPORT_SCHEMA_VERSION = 1
@@ -73,10 +71,11 @@ _REQUIRED, _DEFAULT = object(), object()
 
 @functools.cache
 def _record_fields(cls) -> tuple | None:
-    """``(name, key, kind, absent)`` per field of a dataclass or NamedTuple,
-    or None for any other class.  ``kind`` is the resolved annotation and
-    ``absent`` what a missing key reads as: the field's ``when_absent``
-    metadata, else ``_DEFAULT`` (the field's default) or ``_REQUIRED``."""
+    """``(name, key, kind, absent, expected)`` per field of a dataclass or
+    NamedTuple, or None for any other class.  ``kind`` is the resolved
+    annotation and ``absent`` what a missing key reads as: the field's
+    ``when_absent`` metadata, else ``_DEFAULT`` (the field's default) or
+    ``_REQUIRED``; ``expected`` overrides what a config error expected."""
     if dataclasses.is_dataclass(cls):
         fields = [(f.name, f.metadata) for f in dataclasses.fields(cls)]
     elif issubclass(cls, tuple) and hasattr(cls, "_fields"):
@@ -88,7 +87,8 @@ def _record_fields(cls) -> tuple | None:
     out = []
     for name, meta in fields:
         absent = _REQUIRED if params[name].default is params[name].empty else _DEFAULT
-        out.append((name, _RENAMES.get(name, name), hints[name], meta.get("when_absent", absent)))
+        key = _RENAMES.get(name, name)
+        out.append((name, key, hints[name], meta.get("when_absent", absent), meta.get("expected")))
     return tuple(out)
 
 
@@ -96,7 +96,7 @@ def _dumps_canonical(obj, indent=0) -> str:
     pad = "  " * indent
     fields = _record_fields(type(obj))
     if fields is not None:  # a dataclass or NamedTuple: one key per field
-        obj = {key: getattr(obj, name) for name, key, _, _ in fields}
+        obj = {key: getattr(obj, name) for name, key, *_ in fields}
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -129,6 +129,84 @@ def dumps_canonical(obj) -> str:
     lists), dataclasses and NamedTuples (objects with one key per field,
     renamed per ``_RENAMES``)."""
     return _dumps_canonical(obj) + "\n"
+
+
+def _object(value, where: str, error) -> dict:
+    if not isinstance(value, dict):
+        raise error(f"{where}: expected an object, got {value!r}")
+    return value
+
+
+@functools.cache
+def _origin_and_args(kind) -> tuple:
+    return typing.get_origin(kind), typing.get_args(kind)
+
+
+# One rule per scalar type, and what its error says was expected; nothing
+# is coerced.  An int is read by errors.require_int.  A float is a JSON int
+# or float (not a bool) that is finite, and not an int too large for float().
+_SCALARS = {
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    float: (lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max, "a number"),
+    str: (lambda v: isinstance(v, str), "a string"),
+}
+
+
+def _decode(kind, value, where: str, key: str, error, expected: str | None = None):
+    """``value``, found under ``key`` of the object at ``where``, read as
+    ``kind``; a misfit is a ConfigError naming the dotted key and what it
+    expected, or an ``error`` of another class naming ``where`` and ``key``."""
+    origin, args = _origin_and_args(kind)
+    if type(None) in args:  # X | None
+        return None if value is None else _decode(args[0], value, where, key, error, expected)
+    if origin is tuple and args[-1] is Ellipsis:
+        if not isinstance(value, list):
+            raise error(f"{where}: {key!r} must be a list, got {value!r}")
+        return tuple(_decode(args[0], v, where, key, error) for v in value)
+    # The dotted key; a file's top level is "top level" or "report top level".
+    top = where.endswith("top level")
+    path = where.removesuffix("top level") + key if top else f"{where}.{key}"
+    if kind is dict:
+        return _object(value, path, error)
+    if _record_fields(kind) is not None:
+        return _read_record(kind, value, path, error)
+    try:
+        if kind is int:
+            require_int(value, path)
+        elif origin is tuple:
+            if not isinstance(value, list) or len(value) != len(args):
+                expected = expected or f"a list of {len(args)}"
+                raise ConfigError(f"{path}: expected {expected}, got {value!r}")
+            return tuple(_decode(k, v, where, key, error) for k, v in zip(args, value))
+        elif not _SCALARS[kind][0](value):
+            raise ConfigError(f"{path}: expected {expected or _SCALARS[kind][1]}, got {value!r}")
+    except ConfigError:
+        if error is ConfigError:
+            raise
+        raise error(f"{where}: bad value for {key!r}: {value!r}") from None
+    return float(value) if kind is float else value
+
+
+def _read_record(cls, value, where: str, error):
+    """The object ``value`` at ``where`` read as the record class ``cls``,
+    with no unknown key; an error ``cls`` raises names ``where``."""
+    obj = _object(value, where, error)
+    fields = _record_fields(cls)
+    unknown = obj.keys() - {key for _, key, *_ in fields}
+    if unknown:
+        raise error(f"{where}: unknown key {min(unknown)!r}")
+    for _, key, _, absent, _ in fields:
+        if absent is _REQUIRED and key not in obj:
+            raise error(f"{where}: missing key {key!r}")
+    values = {
+        name: _decode(kind, obj[key], where, key, error, expected) if key in obj else absent
+        for name, key, kind, absent, expected in fields
+        if key in obj or absent is not _DEFAULT
+    }
+    try:
+        return cls(**values)
+    except DvafitError as exc:
+        raise error(f"{where}: {exc}") from None
 
 
 def sha256_of(path) -> str:
@@ -401,78 +479,29 @@ class ToolkitConfig:
     echo: dict
 
 
-def _config_object(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where}: expected an object, got {value!r}")
-    return value
+# The config file's top level and its blocks (see the module docstring).
+_A_PATH = {"expected": "a path"}
 
 
-def _config_number(value, cast, where: str):
-    try:
-        number = cast(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{where}: expected a number, got {value!r}") from None
-    if cast is int:
-        # int() would read 2.7 as 2, true as 1 and "16" as 16.
-        require_int(value, where)
-    return number
+@dataclass(frozen=True)
+class _CurvePaths:
+    positive: str = field(metadata=_A_PATH)
+    negative: str = field(metadata=_A_PATH)
 
 
-def _bound_pair(value, where: str) -> tuple[float, float]:
-    if not isinstance(value, list) or len(value) != 2:
-        raise ConfigError(f"{where}: expected [lo, hi], got {value!r}")
-    return tuple(_config_number(v, float, where) for v in value)
+@dataclass(frozen=True)
+class _Designs:
+    positive: DesignParams | None = None
+    negative: DesignParams | None = None
 
 
-def _design_from(obj, where: str) -> DesignParams:
-    obj = _config_object(obj, where)
-
-    def number(key, cast=float):
-        return _config_number(obj[key], cast, f"{where}.{key}")
-
-    try:
-        return DesignParams(
-            loading_mg_cm2=number("loading_mg_cm2"),
-            active_fraction=number("active_fraction"),
-            n_faces=number("n_faces", int),
-            area_per_face_cm2=number("area_per_face_cm2"),
-            q_theor_mah_g=number("q_theor_mah_g"),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"{where}: missing design key {exc}") from None
-
-
-# Config ``fit`` key -> (FitConfig field, type).  Absent keys are not passed,
-# so the defaults live in FitConfig alone.
-_FIT_KEYS = (
-    ("lambda", "lam", float),
-    ("resample_points", "resample_points", int),
-    ("starts", "starts", int),
-    ("seed", "seed", int),
-    ("max_iterations", "max_iterations", int),
-    ("tol_step", "tol_step", float),
-    ("tol_objective", "tol_objective", float),
-)
-
-
-def _fit_config_from(obj) -> FitConfig:
-    obj = _config_object(obj, "fit")
-    smoothing = SmoothingConfig(**_config_object(obj.get("smoothing", {}), "fit.smoothing"))
-    bounds = None
-    if obj.get("bounds") is not None:
-        b = _config_object(obj["bounds"], "fit.bounds")
-        try:
-            bounds = ParameterBounds(
-                **{k: _bound_pair(b[k], f"fit.bounds.{k}") for k in ("qn", "qp", "x0", "y0")}
-            )
-        except KeyError as exc:
-            raise ConfigError(f"fit.bounds: missing key {exc}") from None
-    present = {
-        name: _config_number(obj[key], cast, f"fit.{key}")
-        for key, name, cast in _FIT_KEYS
-        if key in obj
-    }
-    return FitConfig(bounds=bounds, smoothing=smoothing, **present)
+@dataclass(frozen=True)
+class _ConfigFile:
+    reference_curves: _CurvePaths
+    fit: dict = field(default_factory=dict)  # read as FitConfig by load_config
+    areal_basis_cm2: float | None = None
+    design: _Designs | None = None
+    output_dir: str = field(default=".", metadata=_A_PATH)
 
 
 def load_config(path) -> ToolkitConfig:
@@ -486,45 +515,29 @@ def load_config(path) -> ToolkitConfig:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be an object")
-
-    curves_obj = _config_object(raw.get("reference_curves", {}), "reference_curves")
-    base = os.path.dirname(os.path.abspath(path))
-    resolved = []
-    for role in ("positive", "negative"):
-        p = curves_obj.get(role, "")
-        if not p:
-            raise ConfigError(
-                f"{path}: reference_curves.positive and .negative paths are required"
-            )
-        if not isinstance(p, str):
-            raise ConfigError(f"reference_curves.{role}: expected a path, got {p!r}")
-        full = p if os.path.isabs(p) else os.path.join(base, p)
-        if not os.path.exists(full):
-            raise ConfigError(f"{path}: referenced file does not exist: {p}")
-        resolved.append(full)
-
+    head = f"{path}: "
     try:
-        fit_cfg = _fit_config_from(raw.get("fit", {}))
-    except TypeError as exc:
-        raise ConfigError(f"{path}: bad fit settings: {exc}") from None
+        top = _read_record(_ConfigFile, raw, "top level", ConfigError)
+        head += "bad fit settings: "
+        fit_cfg = _read_record(FitConfig, top.fit, "fit", ConfigError)
+    except ConfigError as exc:
+        raise ConfigError(f"{head}{exc}") from None
 
-    areal = raw.get("areal_basis_cm2")
-    if areal is not None:
-        areal = _config_number(areal, float, "areal_basis_cm2")
-    design = _config_object(raw.get("design") or {}, "design")
-    output_dir = raw.get("output_dir", ".")
-    if not isinstance(output_dir, str):
-        raise ConfigError(f"output_dir: expected a path, got {output_dir!r}")
+    base = os.path.dirname(os.path.abspath(path))
+    curves = top.reference_curves
+    resolved = [os.path.join(base, p) for p in (curves.positive, curves.negative)]
+    for p, full in zip((curves.positive, curves.negative), resolved):
+        if not os.path.isfile(full):
+            raise ConfigError(f"{path}: referenced file does not exist: {p!r}")
+    design = top.design or _Designs()
     return ToolkitConfig(
         u_pos_path=resolved[0],
         u_neg_path=resolved[1],
         fit=fit_cfg,
-        areal_basis_cm2=areal,
-        design_pos=_design_from(design["positive"], "design.positive") if "positive" in design else None,
-        design_neg=_design_from(design["negative"], "design.negative") if "negative" in design else None,
-        output_dir=output_dir,
+        areal_basis_cm2=top.areal_basis_cm2,
+        design_pos=design.positive,
+        design_neg=design.negative,
+        output_dir=top.output_dir,
         echo=raw,
     )
 
@@ -584,71 +597,18 @@ def serialize_report(report: Report) -> str:
     return dumps_canonical(report)
 
 
-def _object(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise InputDataError(f"report {where}: expected an object, got {value!r}")
-    return value
-
-
-def _path(where: str, key: str) -> str:
-    return key if where == "top level" else f"{where}.{key}"
-
-
-@functools.cache
-def _origin_and_args(kind) -> tuple:
-    return typing.get_origin(kind), typing.get_args(kind)
-
-
-def _decode(kind, value, where: str, key: str):
-    """``value``, found under ``key`` of the object at ``where``, read as ``kind``."""
-    origin, args = _origin_and_args(kind)
-    if type(None) in args:  # X | None
-        return None if value is None else _decode(args[0], value, where, key)
-    if origin is tuple and args[-1] is Ellipsis:
-        if not isinstance(value, list):
-            raise InputDataError(f"report {where}: {key!r} must be a list, got {value!r}")
-        return tuple(_decode(args[0], v, where, key) for v in value)
-    if origin is tuple:
-        if not isinstance(value, list) or len(value) != len(args):
-            raise InputDataError(f"report {where}: bad value for {key!r}: {value!r}")
-        return tuple(_decode(k, v, where, key) for k, v in zip(args, value))
-    if kind is dict:
-        return _object(value, _path(where, key))
-    if _record_fields(kind) is not None:
-        return _read_record(kind, value, _path(where, key))
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise InputDataError(f"report {where}: bad value for {key!r}: {value!r}") from None
-
-
-def _read_record(cls, value, where: str):
-    obj = _object(value, where)
-    fields = _record_fields(cls)
-    for _, key, _, absent in fields:
-        if absent is _REQUIRED and key not in obj:
-            raise InputDataError(f"report {where}: missing key {key!r}")
-    return cls(
-        **{
-            name: _decode(kind, obj[key], where, key) if key in obj else absent
-            for name, key, kind, absent in fields
-            if key in obj or absent is not _DEFAULT
-        }
-    )
-
-
 def parse_report(text: str) -> Report:
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputDataError(f"report is not valid JSON: {exc}") from None
-    obj = _object(obj, "top level")
+    obj = _object(obj, "report top level", InputDataError)
     if "schema_version" not in obj:
         raise InputDataError("report top level: missing key 'schema_version'")
     version = obj["schema_version"]
     if version != REPORT_SCHEMA_VERSION:
         raise InputDataError(f"unsupported report schema_version {version}")
-    return _read_record(Report, obj, "top level")
+    return _read_record(Report, obj, "report top level", InputDataError)
 
 
 def read_report(path) -> Report:

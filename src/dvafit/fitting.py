@@ -59,14 +59,18 @@ INITIAL_DAMPING = 10.0
 MAX_STRETCH = 64.0
 
 
+# How a config error describes a bound that is not a pair.
+_LO_HI = {"expected": "[lo, hi]"}
+
+
 @dataclass(frozen=True)
 class ParameterBounds:
     """Box bounds for (qn_tilde, qp_tilde, x0_tilde, y0_tilde)."""
 
-    qn: tuple[float, float]
-    qp: tuple[float, float]
-    x0: tuple[float, float]
-    y0: tuple[float, float]
+    qn: tuple[float, float] = field(metadata=_LO_HI)
+    qp: tuple[float, float] = field(metadata=_LO_HI)
+    x0: tuple[float, float] = field(metadata=_LO_HI)
+    y0: tuple[float, float] = field(metadata=_LO_HI)
 
     def __post_init__(self):
         for name, (lo, hi) in self.as_dict().items():
@@ -443,35 +447,3 @@ def fit(
             q=prob.q_grid, voltage=e_v[best].copy(), dvdq=e_d[best].copy()
         ),
     )
-
-
-@dataclass(frozen=True)
-class BatchItemFailure:
-    """Structured record of one failed batch item; never aborts the batch."""
-
-    index: int
-    error_kind: str
-    message: str
-
-
-def fit_batch(
-    measured_list,
-    u_pos: ReferencePotentialCurve,
-    u_neg: ReferencePotentialCurve,
-    cfg: FitConfig = FitConfig(),
-) -> list:
-    """Independent fits over a batch, order-preserving.
-
-    Items that fail validation come back as :class:`BatchItemFailure` in
-    place; the remaining fits are unaffected.  Runs sequentially so
-    results are bitwise-reproducible under the configured seed.
-    """
-    out = []
-    for i, measured in enumerate(measured_list):
-        try:
-            out.append(fit(measured, u_pos, u_neg, cfg))
-        except Exception as exc:
-            out.append(
-                BatchItemFailure(index=i, error_kind=type(exc).__name__, message=str(exc))
-            )
-    return out

@@ -8,16 +8,13 @@ from scipy.stats import qmc
 from dvafit.curves import CapacityVoltageSeries, SmoothingConfig, differentiate, resample
 from dvafit.errors import ConfigError
 from dvafit.fitting import (
-    BatchItemFailure,
     FitConfig,
-    FitResult,
     ParameterBounds,
     _prepare,
     _solve,
     _stacked,
     _stacked_jacobian,
     fit,
-    fit_batch,
     residuals,
 )
 from dvafit.model import (
@@ -334,31 +331,6 @@ class TestFit:
         )
         assert not res.converged  # never a crash
 
-
-class TestFitBatch:
-    def test_identical_inputs_give_identical_results(self, analytic_curves):
-        u_pos, u_neg = analytic_curves
-        theta = ElectrodeParams(2.95, 2.80, 0.035, 0.94, 1.0)
-        series, _ = _synth_series(u_pos, u_neg, theta, n=300)
-        cfg = FitConfig(seed=5, starts=4, resample_points=200)
-        out = fit_batch([series, series, series], u_pos, u_neg, cfg)
-        assert len(out) == 3
-        assert out[0].theta == out[1].theta == out[2].theta
-        assert out[0].objective == out[1].objective == out[2].objective
-
-    def test_corrupt_item_isolated_as_structured_failure(self, analytic_curves):
-        u_pos, u_neg = analytic_curves
-        theta = ElectrodeParams(2.95, 2.80, 0.035, 0.94, 1.0)
-        good, _ = _synth_series(u_pos, u_neg, theta, n=300)
-        q = np.linspace(0.3, 1.0, 40)  # does not start at zero capacity
-        corrupt = CapacityVoltageSeries(q=q, v=3.0 + q, direction="charge", c_rate=0.01)
-        cfg = FitConfig(seed=5, starts=4, resample_points=200)
-        out = fit_batch([good, corrupt, good], u_pos, u_neg, cfg)
-        assert isinstance(out[0], FitResult) and out[0].converged
-        assert isinstance(out[2], FitResult) and out[2].converged
-        assert isinstance(out[1], BatchItemFailure)
-        assert out[1].index == 1 and out[1].error_kind == "InputDataError"
-
     def test_capacity_spread_recovered_statistically(self, analytic_curves):
         u_pos, u_neg = analytic_curves
         rng = np.random.default_rng(11)
@@ -369,9 +341,8 @@ class TestFitBatch:
             theta_i = ElectrodeParams(2.95, qp_i, 0.035, 0.94, 1.0)
             series_i, _ = _synth_series(u_pos, u_neg, theta_i, seed=100 + i, n=300)
             series_list.append(series_i)
-        out = fit_batch(
-            series_list, u_pos, u_neg, FitConfig(seed=2, starts=8, resample_points=300)
-        )
+        cfg = FitConfig(seed=2, starts=8, resample_points=300)
+        out = [fit(series, u_pos, u_neg, cfg) for series in series_list]
         assert all(r.converged for r in out)
         fitted_std = np.std([r.theta.qp_tilde for r in out], ddof=1)
         assert abs(fitted_std - sigma) / sigma <= 0.30

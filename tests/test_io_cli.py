@@ -543,7 +543,7 @@ class TestLoadConfig:
     @pytest.mark.parametrize(
         "key, value, match",
         [
-            ("fit.starts", "many", r"fit\.starts: expected a number, got 'many'"),
+            ("fit.starts", "many", r"fit\.starts: expected an integer, got 'many'"),
             ("fit", [], r"fit: expected an object"),
             ("reference_curves", ["u_pos.csv"], r"reference_curves: expected an object"),
             ("reference_curves.positive", 3, r"reference_curves\.positive: expected a path"),
@@ -566,6 +566,18 @@ class TestLoadConfig:
              r"design\.negative\.n_faces: expected an integer, got 28\.5"),
             ("fit.seed", -1, r"seed must be >= 0, got -1"),
             ("fit.smoothing", {"enabled": "false"}, r"enabled: expected true or false, got 'false'"),
+            # Numbers are finite JSON numbers, never a string or a bool, and
+            # every key is one the layout names.
+            ("fit.lambda", "0.3", r"fit\.lambda: expected a number, got '0\.3'"),
+            ("fit.tol_step", True, r"fit\.tol_step: expected a number, got True"),
+            ("fit.tol_step", float("nan"), r"fit\.tol_step: expected a number, got nan"),
+            ("fit.lamda", 0.3, r"fit: unknown key 'lamda'"),
+            ("fit.bounds", dict(BOUNDS, qn=["2", "4"]), r"fit\.bounds\.qn: expected a number, got '2'"),
+            ("design.positive", dict(DESIGN, q_theor_mah_g="360"),
+             r"design\.positive\.q_theor_mah_g: expected a number, got '360'"),
+            ("design.positive", dict(DESIGN, loading=9.0), r"design\.positive: unknown key 'loading'"),
+            ("outputs", ".", r"top level: unknown key 'outputs'"),
+            ("areal_basis_cm2", True, r"areal_basis_cm2: expected a number, got True"),
         ],
     )
     def test_malformed_value_rejected_naming_key(self, tmp_path, key, value, match):
@@ -786,6 +798,15 @@ class TestReportIo:
              r"report fit.start_records: bad value for 'theta0'"),
             (lambda o: o["features"].update(areal={}), r"report features.areal: missing key"),
             (lambda o: o.update(seed=1e400), r"report top level: bad value for 'seed'"),
+            # No scalar is coerced: a string is not a bool, 2.7 not an int,
+            # true not a number and 123 not a string.
+            (lambda o: o["fit"].update(converged="false"), r"report fit: bad value for 'converged'"),
+            (lambda o: o["fit"].update(iterations=2.7), r"report fit: bad value for 'iterations'"),
+            (lambda o: o.update(seed=1.9), r"report top level: bad value for 'seed': 1\.9"),
+            (lambda o: o["theta"].update(qn_tilde=True), r"report theta: bad value for 'qn_tilde'"),
+            (lambda o: o.update(cell_id=123), r"report top level: bad value for 'cell_id'"),
+            (lambda o: o["theta"].update(qn=2.95), r"report theta: unknown key 'qn'"),
+            (lambda o: o["theta"].update(qn_tilde=-2.95), r"report theta: capacities must be positive"),
         ],
     )
     def test_malformed_nested_value_rejected_naming_path(self, edit, match):
@@ -793,6 +814,13 @@ class TestReportIo:
         edit(obj)
         with pytest.raises(InputDataError, match=match):
             dataio.parse_report(json.dumps(obj))
+
+    def test_integral_number_reads_as_float(self):
+        obj = json.loads(dataio.serialize_report(_make_report()))
+        obj["fit"]["lambda"] = 1
+        report = dataio.parse_report(json.dumps(obj))
+        assert type(report.diagnostics.lam) is float
+        assert '"lambda": 1.0' in dataio.serialize_report(report)
 
     def test_section_that_is_not_an_object_rejected(self):
         obj = json.loads(dataio.serialize_report(_make_report()))
@@ -1099,6 +1127,11 @@ class TestCliReports:
         [
             (["areal_basis_cm2"], "report config_echo: expected an object"),
             ({"areal_basis_cm2": "big"}, "config_echo: bad value for 'areal_basis_cm2'"),
+            # Read by the config's rule: no bool, no numeric string, and 0 is
+            # not taken for "no basis".
+            ({"areal_basis_cm2": True}, "config_echo: bad value for 'areal_basis_cm2'"),
+            ({"areal_basis_cm2": "1108.8"}, "config_echo: bad value for 'areal_basis_cm2'"),
+            ({"areal_basis_cm2": 0}, "areal_basis_cm2 must be positive"),
         ],
     )
     def test_batch_command_malformed_config_echo_exits_2(
@@ -1111,6 +1144,39 @@ class TestCliReports:
         assert code == InputDataError.exit_code
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert message in err["message"]
+
+    def test_non_finite_theta_exits_2_naming_the_file(self, report_paths, tmp_path, capsys):
+        obj = json.loads(Path(report_paths[0]).read_text())
+        obj["theta"]["qn_tilde"] = float("nan")
+        bad = _write(tmp_path / "bad.report.json", json.dumps(obj))
+        assert main(["features", bad]) == InputDataError.exit_code
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "InputDataError"
+        assert err["message"].startswith(f"{bad}: report theta: bad value for 'qn_tilde'")
+
+    def _batch(self, tmp_path, paths):
+        s_path = tmp_path / "summary.csv"
+        code = main(["batch", "--metrics", "q_sei", "--summary-out", str(s_path), *paths])
+        return code, s_path.read_bytes()
+
+    def test_batch_without_unconverged_reports_warns_nothing(self, report_paths, tmp_path, capsys):
+        code, _ = self._batch(tmp_path, report_paths)
+        assert code == 0 and capsys.readouterr().err == ""
+
+    def test_batch_warns_about_unconverged_reports(self, report_paths, tmp_path, capsys):
+        _, summary = self._batch(tmp_path, report_paths)
+        clean = capsys.readouterr()
+        for path in report_paths[1:]:
+            report = dataio.read_report(path)
+            diagnostics = replace(report.diagnostics, converged=False)
+            dataio.write_report(replace(report, diagnostics=diagnostics), path)
+        code, flagged_summary = self._batch(tmp_path, report_paths)
+        flagged = capsys.readouterr()
+        assert code == 0
+        assert flagged.out == clean.out and flagged_summary == summary
+        lines = flagged.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("warning: 2 of 3 reports did not converge")
+        assert lines[0].endswith(": " + ", ".join(report_paths[1:]))
 
     def test_batch_command_empty_metrics_exits_5(self, report_paths, tmp_path, capsys):
         code = main([
